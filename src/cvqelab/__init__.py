@@ -13,7 +13,6 @@ from .fci import (
     enumerate_sector,
     ground_distribution,
     solve_fci,
-    spin_expectations,
 )
 from .fcidump import read_fcidump, write_fcidump
 from .fermion import (
@@ -63,7 +62,6 @@ from .statevector import (
     Distribution,
     SampleCounts,
     StateVector,
-    apply_exact_exponential,
     apply_pauli_rotation,
     expectation,
     init_fock,

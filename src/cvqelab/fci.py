@@ -86,10 +86,6 @@ def ground_distribution(solution: FCISolution) -> Distribution:
     return Distribution(probs=probs, label="pGndD")
 
 
-def spin_expectations(solution: FCISolution) -> tuple[float, float]:
-    return solution.s_squared, solution.s_z
-
-
 def model_coupled_gaps(
     sq: SecondQuantizedHamiltonian,
     eps_spin: np.ndarray,

@@ -71,11 +71,11 @@ class PauliString:
 
     @property
     def weight(self) -> int:
-        return sum(o != "I" for o in self.ops)
+        return len(self.ops) - self.ops.count("I")
 
     def is_diagonal(self) -> bool:
         """True for strings over {I, Z} only (phase action on Fock states)."""
-        return all(o in ("I", "Z") for o in self.ops)
+        return "X" not in self.ops and "Y" not in self.ops
 
     def label(self) -> str:
         return "".join(self.ops)

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import json
 import os
+import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -362,8 +363,6 @@ def omega_scan(
     Expected at K = 1 (warns otherwise); reports the starting-determinant
     probability per scale.
     """
-    import warnings
-
     if config.K != 1:
         warnings.warn(f"omega scan expects K = 1, got K = {config.K}", stacklevel=2)
     sys_model = system if system is not None else build_system(config)
@@ -451,7 +450,3 @@ def emit_report(report: StageReport, output_dir: str | Path | None = None) -> li
     report_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     written.append(report_path)
     return written
-
-
-def load_report(path: str | Path) -> dict:
-    return json.loads(Path(path).read_text())

@@ -18,14 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import PauliString, PauliSum, interpolate, prune, to_dense
+from .pauli import COEFF_FLOOR, PauliString, PauliSum, to_dense
 from .statevector import (
     StateVector,
-    apply_propagator,
-    apply_pauli_rotation,
     compile_pauli_action,
-    exponential_propagator,
     init_fock,
+    rotate_amplitudes,
 )
 
 TERM_ORDERS = ("magnitude_desc", "magnitude_asc", "canonical", "canonical_reversed")
@@ -81,17 +79,35 @@ def build_schedule(K: int, hbar_omega: float) -> PrepSchedule:
 def prepare_trapezoidal(
     h0: PauliSum, h: PauliSum, schedule: PrepSchedule, phi0: int
 ) -> StateVector:
-    """Exact-exponential staircase from |phi0>; the pTD source state."""
+    """Exact-exponential staircase from |phi0>; the pTD source state.
+
+    Every step propagates inside the Fock indices reachable from phi0 through
+    matrix elements of h0 or h at or above COEFF_FLOOR: the (N_alpha, N_beta)
+    sector for number- and Sz-conserving inputs, the whole register otherwise.
+    """
     if h0.n_qubits != h.n_qubits:
         raise ValueError("qubit count mismatch")
-    state = init_fock(phi0, h.n_qubits)
+    start = init_fock(phi0, h.n_qubits)
     h0_dense = to_dense(h0)
     h_dense = to_dense(h)
+    coupled = (np.abs(h0_dense) >= COEFF_FLOOR) | (np.abs(h_dense) >= COEFF_FLOOR)
+    reached = start.amplitudes != 0
+    while True:
+        grown = reached | coupled[:, reached].any(axis=1)
+        if np.array_equal(grown, reached):
+            break
+        reached = grown
+    sector = np.flatnonzero(reached)
+    block = np.ix_(sector, sector)
+    h0_block = h0_dense[block]
+    h_block = h_dense[block]
+    amp = start.amplitudes[sector]
     for eta, scale in schedule.steps:
-        mat = (1.0 - eta) * h0_dense + eta * h_dense
-        evals, evecs = exponential_propagator(mat)
-        state = apply_propagator(state, evals, evecs, scale)
-    return state
+        evals, evecs = np.linalg.eigh((1.0 - eta) * h0_block + eta * h_block)
+        amp = evecs @ (np.exp(-1j * scale * evals) * (evecs.conj().T @ amp))
+    full = np.zeros_like(start.amplitudes)
+    full[sector] = amp
+    return StateVector(full, h.n_qubits)
 
 
 def ordered_terms(h: PauliSum, order: str) -> list[tuple[PauliString, float]]:
@@ -109,37 +125,78 @@ def ordered_terms(h: PauliSum, order: str) -> list[tuple[PauliString, float]]:
     return items
 
 
+def _staircase(
+    h0: PauliSum | None, h: PauliSum, schedule: PrepSchedule, trotter: TrotterConfig
+) -> tuple[list[PauliString], np.ndarray, np.ndarray]:
+    """Strings in canonical order, the (K, T) per-step coefficients and the
+    (K, T) mask of terms each step executes.
+
+    Row k holds the coefficients of prune(interpolate(h0, h, eta_k)),
+    including interpolate's COEFF_FLOOR drop of each scaled operand before
+    the sum; without h0 every row holds h's coefficients.
+    """
+    if trotter.prune_threshold < 0:
+        raise ValueError("threshold must be nonnegative")
+    if h0 is not None and h0.n_qubits != h.n_qubits:
+        raise ValueError("qubit count mismatch")
+    all_terms = set(h.terms) | set(h0.terms if h0 is not None else ())
+    strings = sorted(all_terms, key=lambda s: s.ops)
+    c1 = np.array([h.coefficient(s) for s in strings], dtype=float)
+    if h0 is None:
+        coeffs = np.tile(c1, (len(schedule.steps), 1))
+    else:
+        etas = np.array([eta for eta, _scale in schedule.steps], dtype=float)
+        if not np.all((etas >= 0.0) & (etas <= 1.0)):
+            raise ValueError("schedule eta outside [0, 1]")
+        c0 = np.array([h0.coefficient(s) for s in strings], dtype=float)
+        part0 = np.multiply.outer(1.0 - etas, c0)
+        part0[np.abs(part0) < COEFF_FLOOR] = 0.0
+        coeffs = np.multiply.outer(etas, c1)
+        coeffs[np.abs(coeffs) < COEFF_FLOOR] = 0.0
+        coeffs += part0
+    magnitude = np.abs(coeffs)
+    keep = (magnitude >= COEFF_FLOOR) & (magnitude >= trotter.prune_threshold)
+    if trotter.drop_diagonal:
+        keep &= ~np.array([s.is_diagonal() for s in strings], dtype=bool)
+    return strings, coeffs, keep
+
+
 def prepare_guiding(
     h0: PauliSum,
     h: PauliSum,
     schedule: PrepSchedule,
     phi0: int,
     trotter: TrotterConfig = TrotterConfig(),
-    _compiled_cache: dict | None = None,
 ) -> StateVector:
-    """First-order-split staircase (one slice per step); the pGD source state."""
-    if h0.n_qubits != h.n_qubits:
-        raise ValueError("qubit count mismatch")
-    state = init_fock(phi0, h.n_qubits)
-    cache = _compiled_cache if _compiled_cache is not None else {}
+    """First-order-split staircase (one slice per step); the pGD source state.
+
+    Each step rotates by the terms of prune(interpolate(h0, h, eta)) in the
+    configured order; ties in magnitude fall back to canonical order.
+    """
+    strings, coeffs, keep = _staircase(h0, h, schedule, trotter)
+    amp = init_fock(phi0, h.n_qubits).amplitudes
     identity = PauliString.identity(h.n_qubits)
-    for eta, scale in schedule.steps:
-        step_h = prune(
-            interpolate(h0, h, eta), trotter.prune_threshold, trotter.drop_diagonal
-        )
-        for string, coeff in ordered_terms(step_h, trotter.term_order):
+    compiled = {
+        j: compile_pauli_action(strings[j])
+        for j in np.flatnonzero(keep.any(axis=0)).tolist()
+        if strings[j] != identity
+    }
+    for (_eta, scale), row, kept in zip(schedule.steps, coeffs, keep):
+        rank = np.flatnonzero(kept)
+        if trotter.term_order == "magnitude_desc":
+            rank = rank[np.lexsort((rank, -np.abs(row[rank])))]
+        elif trotter.term_order == "magnitude_asc":
+            rank = rank[np.lexsort((rank, np.abs(row[rank])))]
+        elif trotter.term_order == "canonical_reversed":
+            rank = rank[::-1]
+        for j, coeff in zip(rank.tolist(), row[rank].tolist()):
             angle = coeff * scale
-            if string == identity:
-                state = StateVector(
-                    np.exp(-1j * angle) * state.amplitudes, state.n_qubits
-                )
-                continue
-            compiled = cache.get(string)
-            if compiled is None:
-                compiled = compile_pauli_action(string)
-                cache[string] = compiled
-            state = apply_pauli_rotation(state, string, angle, compiled=compiled)
-    return state
+            action = compiled.get(j)
+            if action is None:
+                amp = np.exp(-1j * angle) * amp
+            else:
+                amp = rotate_amplitudes(amp, action, angle)
+    return StateVector(amp, h.n_qubits)
 
 
 def check_conditions(
@@ -172,24 +229,14 @@ def circuit_stats(
     given the per-step counts follow the interpolated Hamiltonians, otherwise
     every step reuses h.
     """
-    per_step = []
-    rotations = 0
-    cnots = 0
-    for eta, _scale in schedule.steps:
-        step_h = interpolate(h0, h, eta) if h0 is not None else h
-        step_h = prune(step_h, trotter.prune_threshold, trotter.drop_diagonal)
-        count = 0
-        for string, _coeff in step_h.items():
-            w = string.weight
-            if w == 0:
-                continue  # global phase, no gate
-            count += 1
-            if w >= 2:
-                cnots += 2 * (w - 1)
-        per_step.append(count)
-        rotations += count
+    strings, _coeffs, keep = _staircase(h0, h, schedule, trotter)
+    weight = np.array([s.weight for s in strings], dtype=int)
+    gates = keep & (weight > 0)  # identity strings are a global phase, no gate
+    per_step = gates.sum(axis=1)
+    rotations = int(per_step.sum())
+    cnots = int((gates * (2 * np.maximum(weight - 1, 0))).sum())
     return CircuitStats(
-        term_count_per_step=tuple(per_step),
+        term_count_per_step=tuple(int(c) for c in per_step),
         total_rotations=rotations,
         cnot_estimate=cnots,
         depth_proxy=rotations + cnots,

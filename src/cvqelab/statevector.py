@@ -1,6 +1,5 @@
-"""Dense statevector simulation: Fock states, Pauli rotations, exact
-Hamiltonian exponentials, Born probabilities, shot sampling, and a
-distribution-level noise knob.
+"""Dense statevector simulation: Fock states, Pauli rotations, Born
+probabilities, shot sampling, and a distribution-level noise knob.
 
 Amplitudes are stored contiguously indexed by the Fock integer; qubit 0 is
 the least-significant bit.  All stochastic draws use the counter-based
@@ -13,11 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import PauliString, PauliSum, ResourceLimitError, to_dense
+from .pauli import PauliString, PauliSum
 
 NORM_TOL = 1e-10
-EXACT_EXP_DENSE_CAP = 12
-KRYLOV_TOL = 1e-12
 
 DISTRIBUTION_LABELS = ("pTD", "pGD", "sGD", "pOD", "pGndD")
 
@@ -93,44 +90,39 @@ def init_fock(n: int, n_qubits: int) -> StateVector:
 
 
 def compile_pauli_action(string: PauliString) -> tuple[np.ndarray, np.ndarray]:
-    """Permutation and phase arrays so (P psi)[perm[n]] = phase[n] * psi[n]."""
+    """Gather index and phase arrays so (P psi)[m] = phase[m] * psi[source[m]]."""
     dim = 1 << string.n_qubits
-    idx = np.arange(dim)
-    perm = idx.copy()
+    flip = sum(1 << q for q, op in enumerate(string.ops) if op in ("X", "Y"))
+    source = np.arange(dim) ^ flip
     phase = np.ones(dim, dtype=complex)
     for q, op in enumerate(string.ops):
-        bits = (idx >> q) & 1
-        if op == "X":
-            perm ^= 1 << q
-        elif op == "Y":
-            perm ^= 1 << q
+        bits = (source >> q) & 1
+        if op == "Y":
             phase = phase * np.where(bits == 0, 1j, -1j)
         elif op == "Z":
             phase = phase * np.where(bits == 0, 1.0, -1.0)
-    return perm, phase
+    return source, phase
 
 
 def pauli_action(state: StateVector, string: PauliString) -> np.ndarray:
-    perm, phase = compile_pauli_action(string)
-    out = np.empty_like(state.amplitudes)
-    out[perm] = phase * state.amplitudes
-    return out
+    source, phase = compile_pauli_action(string)
+    return phase * state.amplitudes[source]
 
 
-def apply_pauli_rotation(
-    state: StateVector,
-    string: PauliString,
-    angle: float,
-    compiled: tuple[np.ndarray, np.ndarray] | None = None,
-) -> StateVector:
+def apply_pauli_rotation(state: StateVector, string: PauliString, angle: float) -> StateVector:
     """exp(-i * angle * P) |psi> = cos(angle)|psi> - i sin(angle) P|psi>."""
     if string.n_qubits != state.n_qubits:
         raise ValueError("qubit count mismatch")
-    perm, phase = compiled if compiled is not None else compile_pauli_action(string)
-    p_psi = np.empty_like(state.amplitudes)
-    p_psi[perm] = phase * state.amplitudes
-    amp = np.cos(angle) * state.amplitudes - 1j * np.sin(angle) * p_psi
+    amp = rotate_amplitudes(state.amplitudes, compile_pauli_action(string), angle)
     return StateVector(amp, state.n_qubits)
+
+
+def rotate_amplitudes(
+    amplitudes: np.ndarray, compiled: tuple[np.ndarray, np.ndarray], angle: float
+) -> np.ndarray:
+    """exp(-i * angle * P) applied to a raw amplitude array, P given compiled."""
+    source, phase = compiled
+    return np.cos(angle) * amplitudes - 1j * np.sin(angle) * (phase * amplitudes[source])
 
 
 def expectation(state: StateVector, h: PauliSum) -> float:
@@ -139,96 +131,6 @@ def expectation(state: StateVector, h: PauliSum) -> float:
     for string, coeff in h.items():
         total += coeff * np.vdot(state.amplitudes, pauli_action(state, string))
     return float(total.real)
-
-
-def apply_exact_exponential(
-    state: StateVector,
-    h: PauliSum,
-    scale: float,
-    dense_cap: int = EXACT_EXP_DENSE_CAP,
-    allow_iterative: bool = True,
-) -> StateVector:
-    """exp(-i * scale * H) |psi> without Trotter error.
-
-    Uses a full Hermitian eigendecomposition up to dense_cap qubits and a
-    Lanczos/Krylov action above it.
-    """
-    if h.n_qubits != state.n_qubits:
-        raise ValueError("qubit count mismatch")
-    if not h.terms:
-        return state.copy()
-    if h.n_qubits <= dense_cap:
-        mat = to_dense(h, cap=dense_cap)
-        return _apply_exponential_dense(state, mat, scale)
-    if not allow_iterative:
-        raise ResourceLimitError(
-            f"{h.n_qubits} qubits exceeds the dense cap {dense_cap} "
-            "and the iterative path is disabled"
-        )
-    return _apply_exponential_lanczos(state, h, scale)
-
-
-def _apply_exponential_dense(state: StateVector, mat: np.ndarray, scale: float) -> StateVector:
-    evals, evecs = np.linalg.eigh(mat)
-    coeffs = evecs.conj().T @ state.amplitudes
-    amp = evecs @ (np.exp(-1j * scale * evals) * coeffs)
-    return StateVector(amp, state.n_qubits)
-
-
-def exponential_propagator(h_dense: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition reusable across repeated exponentials of one matrix."""
-    evals, evecs = np.linalg.eigh(h_dense)
-    return evals, evecs
-
-
-def apply_propagator(
-    state: StateVector, evals: np.ndarray, evecs: np.ndarray, scale: float
-) -> StateVector:
-    coeffs = evecs.conj().T @ state.amplitudes
-    amp = evecs @ (np.exp(-1j * scale * evals) * coeffs)
-    return StateVector(amp, state.n_qubits)
-
-
-def _apply_exponential_lanczos(
-    state: StateVector, h: PauliSum, scale: float, max_krylov: int = 120
-) -> StateVector:
-    compiled = [(c, compile_pauli_action(s)) for s, c in h.items()]
-
-    def matvec(v: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(v)
-        for coeff, (perm, phase) in compiled:
-            tmp = np.empty_like(v)
-            tmp[perm] = phase * v
-            out += coeff * tmp
-        return out
-
-    v0 = state.amplitudes
-    beta0 = np.linalg.norm(v0)
-    basis = [v0 / beta0]
-    alphas: list[float] = []
-    betas: list[float] = []
-    prev_result = None
-    for k in range(max_krylov):
-        w = matvec(basis[k])
-        alpha = float(np.vdot(basis[k], w).real)
-        alphas.append(alpha)
-        w = w - alpha * basis[k] - (betas[-1] * basis[k - 1] if k > 0 else 0.0)
-        # full reorthogonalization keeps the small Krylov basis clean
-        for b in basis:
-            w = w - np.vdot(b, w) * b
-        beta = float(np.linalg.norm(w))
-        t = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
-        evals, evecs = np.linalg.eigh(t)
-        small = evecs @ (np.exp(-1j * scale * evals) * evecs.conj().T[:, 0])
-        result = sum(c * b for c, b in zip(small, basis)) * beta0
-        if prev_result is not None and np.linalg.norm(result - prev_result) < KRYLOV_TOL:
-            return StateVector(result, state.n_qubits)
-        prev_result = result
-        if beta < 1e-14:
-            return StateVector(result, state.n_qubits)
-        betas.append(beta)
-        basis.append(w / beta)
-    return StateVector(prev_result, state.n_qubits)
 
 
 def probabilities(state: StateVector, label: str = "") -> Distribution:

@@ -48,7 +48,6 @@ class OptimizedState:
     energy: float          # E*, Hartree
     theta: np.ndarray      # coefficients over basis members, unit norm
     basis: OutcomeSet
-    lambda_values: tuple[complex, ...] | None = None
 
 
 def collect_outcomes(counts: SampleCounts, threshold: int = 1) -> OutcomeSet:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cvqelab.fci import enumerate_sector, ground_distribution, solve_fci, spin_expectations
+from cvqelab.fci import enumerate_sector, ground_distribution, solve_fci
 from cvqelab.fermion import second_quantize
 from cvqelab.geometry import parse_geometry
 from cvqelab.integrals import compute_integrals
@@ -83,9 +83,8 @@ def test_support_symmetry_split(well):
 
 
 def test_spin_expectations(well):
-    s2, sz = spin_expectations(well.fci)
-    assert s2 == pytest.approx(0.75, abs=1e-8)
-    assert sz == pytest.approx(0.5, abs=1e-8)
+    assert well.fci.s_squared == pytest.approx(0.75, abs=1e-8)
+    assert well.fci.s_z == pytest.approx(0.5, abs=1e-8)
 
 
 def test_spin_single_electron():

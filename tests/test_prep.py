@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from cvqelab.pauli import PauliString, PauliSum
+from cvqelab.pauli import PauliString, PauliSum, interpolate, prune, to_dense
 from cvqelab.prep import (
+    TERM_ORDERS,
     PrepSchedule,
     TrotterConfig,
     build_schedule,
@@ -12,7 +13,53 @@ from cvqelab.prep import (
     prepare_guiding,
     prepare_trapezoidal,
 )
-from cvqelab.statevector import expectation, init_fock, probabilities
+from cvqelab.statevector import (
+    StateVector,
+    apply_pauli_rotation,
+    expectation,
+    init_fock,
+    probabilities,
+)
+
+TROTTER_CASES = ({}, {"prune_threshold": 0.02, "drop_diagonal": True})
+
+
+def full_register_trapezoidal(h0, h, schedule, phi0):
+    """Reference staircase: per-step eigh of the full 2^Q matrix."""
+    h0_dense, h_dense = to_dense(h0), to_dense(h)
+    amp = init_fock(phi0, h.n_qubits).amplitudes
+    for eta, scale in schedule.steps:
+        evals, evecs = np.linalg.eigh((1.0 - eta) * h0_dense + eta * h_dense)
+        amp = evecs @ (np.exp(-1j * scale * evals) * (evecs.conj().T @ amp))
+    return amp
+
+
+def per_step_guiding(h0, h, schedule, phi0, trotter):
+    """Reference staircase: rebuild, prune and order each step's PauliSum."""
+    state = init_fock(phi0, h.n_qubits)
+    identity = PauliString.identity(h.n_qubits)
+    for eta, scale in schedule.steps:
+        step_h = prune(interpolate(h0, h, eta), trotter.prune_threshold, trotter.drop_diagonal)
+        for string, coeff in ordered_terms(step_h, trotter.term_order):
+            angle = coeff * scale
+            if string == identity:
+                state = StateVector(np.exp(-1j * angle) * state.amplitudes, state.n_qubits)
+            else:
+                state = apply_pauli_rotation(state, string, angle)
+    return state.amplitudes
+
+
+def per_step_circuit_stats(h, schedule, trotter, h0=None):
+    """Reference count over each step's rebuilt, pruned PauliSum."""
+    per_step, cnots = [], 0
+    for eta, _scale in schedule.steps:
+        step_h = interpolate(h0, h, eta) if h0 is not None else h
+        step_h = prune(step_h, trotter.prune_threshold, trotter.drop_diagonal)
+        weights = [s.weight for s in step_h.terms if s.weight > 0]
+        per_step.append(len(weights))
+        cnots += sum(2 * (w - 1) for w in weights)
+    rotations = sum(per_step)
+    return (tuple(per_step), rotations, cnots, rotations + cnots)
 
 
 def test_schedule_single_step():
@@ -192,3 +239,50 @@ def test_circuit_stats_interpolated_steps(well):
     assert len(stats.term_count_per_step) == 5
     # early steps are closer to the diagonal model: fewer surviving terms
     assert stats.term_count_per_step[0] <= stats.term_count_per_step[-1]
+
+
+@pytest.mark.parametrize("hbar_omega", [1.0, 10.0])
+def test_trapezoidal_matches_full_register_reference(well, hbar_omega):
+    sched = build_schedule(20, hbar_omega)
+    psi = prepare_trapezoidal(well.h0_pauli, well.h_pauli, sched, 7)
+    reference = full_register_trapezoidal(well.h0_pauli, well.h_pauli, sched, 7)
+    assert np.max(np.abs(psi.amplitudes - reference)) <= 1e-12
+
+
+@pytest.mark.parametrize("order", TERM_ORDERS)
+@pytest.mark.parametrize("pruning", TROTTER_CASES)
+def test_guiding_matches_per_step_reference(well, order, pruning):
+    trotter = TrotterConfig(term_order=order, **pruning)
+    sched = build_schedule(5, 1.0)
+    psi = prepare_guiding(well.h0_pauli, well.h_pauli, sched, 7, trotter)
+    reference = per_step_guiding(well.h0_pauli, well.h_pauli, sched, 7, trotter)
+    assert np.array_equal(psi.amplitudes, reference)
+
+
+@pytest.mark.parametrize("pruning", TROTTER_CASES)
+@pytest.mark.parametrize("with_h0", [False, True])
+def test_circuit_stats_matches_per_step_count(well, pruning, with_h0):
+    trotter = TrotterConfig(**pruning)
+    sched = build_schedule(5, 1.0)
+    h0 = well.h0_pauli if with_h0 else None
+    stats = circuit_stats(well.h_pauli, sched, trotter, h0=h0)
+    got = (stats.term_count_per_step, stats.total_rotations, stats.cnot_estimate, stats.depth_proxy)
+    assert got == per_step_circuit_stats(well.h_pauli, sched, trotter, h0=h0)
+
+
+def test_staircase_floors_each_interpolated_operand():
+    """(1 - eta) h0 and eta h lose their sub-COEFF_FLOOR terms before the sum."""
+    h0 = PauliSum.from_terms(
+        {PauliString.from_label(k): c for k, c in {"II": 0.1, "ZI": 1.5e-12, "XY": 3.0e-12}.items()}, 2
+    )
+    h = PauliSum.from_terms(
+        {PauliString.from_label(k): c for k, c in {"ZI": 0.3, "XX": 0.2, "XY": 1.0e-12}.items()}, 2
+    )
+    sched = build_schedule(2, 1.0)
+    for order in TERM_ORDERS:
+        trotter = TrotterConfig(term_order=order)
+        psi = prepare_guiding(h0, h, sched, 1, trotter)
+        assert np.array_equal(psi.amplitudes, per_step_guiding(h0, h, sched, 1, trotter))
+    stats = circuit_stats(h, sched, TrotterConfig(), h0=h0)
+    got = (stats.term_count_per_step, stats.total_rotations, stats.cnot_estimate, stats.depth_proxy)
+    assert got == per_step_circuit_stats(h, sched, TrotterConfig(), h0=h0)

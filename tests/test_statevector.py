@@ -3,10 +3,10 @@ import pytest
 import scipy.linalg
 
 from cvqelab.pauli import PauliString, PauliSum, to_dense
+from cvqelab.prep import PrepSchedule, build_schedule, prepare_trapezoidal
 from cvqelab.statevector import (
     Distribution,
     StateVector,
-    apply_exact_exponential,
     apply_pauli_rotation,
     expectation,
     init_fock,
@@ -95,37 +95,29 @@ def test_rotation_unitarity_and_norm():
 
 
 def test_exact_exponential_empty_and_diagonal():
-    psi = init_fock(1, 1)
-    assert np.allclose(
-        apply_exact_exponential(psi, PauliSum.zero(1), 2.0).amplitudes, psi.amplitudes
-    )
+    # K = 1 is a single half-step at eta = 1: exp(-i H / (2 hbar_omega))
+    zero = PauliSum.zero(1)
+    psi = prepare_trapezoidal(zero, zero, build_schedule(1, 0.25), 1)
+    assert np.array_equal(psi.amplitudes, init_fock(1, 1).amplitudes)
     z = PauliSum.from_terms({PauliString.from_label("Z"): 1.0}, 1)
-    rotated = apply_exact_exponential(psi, z, np.pi)
+    rotated = prepare_trapezoidal(zero, z, build_schedule(1, 0.5 / np.pi), 1)
     assert abs(rotated.amplitudes[1] - np.exp(1j * np.pi)) < 1e-12
+    assert rotated.amplitudes[0] == 0.0
 
 
 def test_exact_exponential_taylor_oracle():
+    """Non-conserving sums reach the whole register from a Fock start."""
     rng = np.random.default_rng(21)
-    for _ in range(5):
-        psi = random_state(rng, 2)
-        h = random_sum(rng, 2, 6)
-        scale = float(rng.uniform(0.1, 1.5))
-        moved = apply_exact_exponential(psi, h, scale)
-        oracle = taylor_expm_apply(-1j * scale * to_dense(h), psi.amplitudes)
+    for n_qubits in (2, 3, 2, 3, 2):
+        h0 = random_sum(rng, n_qubits, 4)
+        h = random_sum(rng, n_qubits, 6)
+        phi0 = int(rng.integers(1 << n_qubits))
+        hbar_omega = float(rng.uniform(0.35, 5.0))
+        moved = prepare_trapezoidal(h0, h, build_schedule(1, hbar_omega), phi0)
+        oracle = taylor_expm_apply(
+            -0.5j / hbar_omega * to_dense(h), init_fock(phi0, n_qubits).amplitudes
+        )
         assert np.max(np.abs(moved.amplitudes - oracle)) < 1e-10
-
-
-def test_exact_exponential_krylov_path_matches_dense():
-    rng = np.random.default_rng(33)
-    psi = random_state(rng, 3)
-    h = random_sum(rng, 3, 10)
-    dense = apply_exact_exponential(psi, h, 0.7)
-    krylov = apply_exact_exponential(psi, h, 0.7, dense_cap=2)
-    assert np.max(np.abs(dense.amplitudes - krylov.amplitudes)) < 1e-9
-    from cvqelab.pauli import ResourceLimitError
-
-    with pytest.raises(ResourceLimitError):
-        apply_exact_exponential(psi, h, 0.7, dense_cap=2, allow_iterative=False)
 
 
 def test_probabilities():
@@ -213,12 +205,8 @@ def test_mix_noise():
 
 def test_sector_confinement(well):
     """Exponentials of number/Sz-conserving sums keep the HF sector exactly."""
-    from cvqelab.pauli import interpolate
-
-    psi = init_fock(7, 8)
-    for eta in (0.2, 0.7, 1.0):
-        h_eta = interpolate(well.h0_pauli, well.h_pauli, eta)
-        psi = apply_exact_exponential(psi, h_eta, 0.35)
+    schedule = PrepSchedule(steps=((0.2, 0.35), (0.7, 0.35), (1.0, 0.35)), K=3, hbar_omega=1.0)
+    psi = prepare_trapezoidal(well.h0_pauli, well.h_pauli, schedule, 7)
     outside = 0.0
     for n in range(256):
         na = bin(n & 0b01010101).count("1")
@@ -226,6 +214,8 @@ def test_sector_confinement(well):
         if (na, nb) != (2, 1):
             outside += abs(psi.amplitudes[n]) ** 2
     assert outside < 1e-10
+    # the (2,1) sector holds C(4,2) * C(4,1) = 24 determinants
+    assert np.count_nonzero(psi.amplitudes) <= 24
 
 
 def test_expectation_matches_dense(well):
