@@ -137,8 +137,8 @@ def _cmd_check_conditions(args: argparse.Namespace) -> int:
 
 def _cmd_fcidump(args: argparse.Namespace) -> int:
     if args.action == "export":
-        geometry = load_geometry(args.geometry or "well")
         config = _build_config(args)
+        geometry = load_geometry(config.geometry)
         n_alpha, n_beta = config.electron_counts(geometry.n_atoms)
         integrals = compute_integrals(geometry)
         scf = run_scf(integrals, n_alpha, n_beta)

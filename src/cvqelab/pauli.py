@@ -3,7 +3,8 @@
 A PauliString is a length-Q tuple over {I, X, Y, Z}; qubit 0 is the leftmost
 letter in the tuple and the least-significant bit of a Fock index.  PauliSums
 keep real coefficients (Hermitian operators only) in a canonically sorted map
-so iteration order is deterministic.
+so iteration order is deterministic.  compile_pauli_action is the one
+Pauli-action kernel: dense builds, rotations and expectations all use it.
 """
 
 from __future__ import annotations
@@ -30,12 +31,8 @@ _PRODUCT[("Z", "Y")] = (-1j, "X")
 _PRODUCT[("Z", "X")] = (1j, "Y")
 _PRODUCT[("X", "Z")] = (-1j, "Y")
 
-_MATRICES = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
+# i^k for k = 0..3: the phase table of the Pauli-action kernel
+_I_POWERS = np.array([1, 1j, -1, -1j])
 
 
 class ResourceLimitError(RuntimeError):
@@ -90,21 +87,6 @@ class PauliString:
             phase *= ph
             out.append(c)
         return phase, PauliString(tuple(out))
-
-    def apply_to_index(self, n: int) -> tuple[complex, int]:
-        """Amplitude transfer <m|P|n> for the unique m with nonzero element."""
-        phase = 1.0 + 0.0j
-        m = n
-        for q, op in enumerate(self.ops):
-            bit = (n >> q) & 1
-            if op == "X":
-                m ^= 1 << q
-            elif op == "Y":
-                m ^= 1 << q
-                phase *= 1j if bit == 0 else -1j
-            elif op == "Z":
-                phase *= 1.0 if bit == 0 else -1.0
-        return phase, m
 
 
 @dataclass(frozen=True)
@@ -195,6 +177,28 @@ def prune(h: PauliSum, threshold: float, drop_diagonal: bool = False) -> PauliSu
     return PauliSum.from_terms(kept, h.n_qubits)
 
 
+def compile_pauli_action(string: PauliString) -> tuple[np.ndarray, np.ndarray]:
+    """Gather index and phase arrays so (P psi)[m] = phase[m] * psi[source[m]].
+
+    Binary symplectic form: P flips the X/Y qubits (x_mask) and contributes
+    i^{n_Y} (-1)^{parity(source & z_mask)} from its Y/Z qubits (z_mask).
+    """
+    x_mask = z_mask = n_y = 0
+    for q, op in enumerate(string.ops):
+        if op in ("X", "Y"):
+            x_mask |= 1 << q
+        if op in ("Y", "Z"):
+            z_mask |= 1 << q
+        n_y += op == "Y"
+    source = np.arange(1 << string.n_qubits) ^ x_mask
+    parity = source & z_mask
+    shift = 1
+    while shift < z_mask.bit_length():  # XOR-fold the masked bits onto bit 0
+        parity ^= parity >> shift
+        shift <<= 1
+    return source, _I_POWERS[(n_y + 2 * (parity & 1)) & 3]
+
+
 def to_dense(h: PauliSum, cap: int = DENSE_QUBIT_CAP) -> np.ndarray:
     """Dense 2^Q x 2^Q matrix; qubit 0 is the least-significant basis-index bit."""
     if h.n_qubits > cap:
@@ -203,18 +207,8 @@ def to_dense(h: PauliSum, cap: int = DENSE_QUBIT_CAP) -> np.ndarray:
     out = np.zeros((dim, dim), dtype=complex)
     idx = np.arange(dim)
     for string, coeff in h.terms.items():
-        phases = np.ones(dim, dtype=complex)
-        targets = idx.copy()
-        for q, op in enumerate(string.ops):
-            bits = (idx >> q) & 1
-            if op == "X":
-                targets ^= 1 << q
-            elif op == "Y":
-                targets ^= 1 << q
-                phases *= np.where(bits == 0, 1j, -1j)
-            elif op == "Z":
-                phases *= np.where(bits == 0, 1.0, -1.0)
-        out[targets, idx] += coeff * phases
+        source, phase = compile_pauli_action(string)
+        out[idx, source] += coeff * phase
     return out
 
 

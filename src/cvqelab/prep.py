@@ -18,13 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import COEFF_FLOOR, PauliString, PauliSum, to_dense
-from .statevector import (
-    StateVector,
-    compile_pauli_action,
-    init_fock,
-    rotate_amplitudes,
-)
+from .pauli import COEFF_FLOOR, PauliString, PauliSum, compile_pauli_action, to_dense
+from .statevector import StateVector, init_fock, rotate_amplitudes
 
 TERM_ORDERS = ("magnitude_desc", "magnitude_asc", "canonical", "canonical_reversed")
 CONDITION_MARGIN = 0.5

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import PauliString, PauliSum
+from .pauli import PauliString, PauliSum, compile_pauli_action
 
 NORM_TOL = 1e-10
 
@@ -89,26 +89,6 @@ def init_fock(n: int, n_qubits: int) -> StateVector:
     return StateVector(amp, n_qubits)
 
 
-def compile_pauli_action(string: PauliString) -> tuple[np.ndarray, np.ndarray]:
-    """Gather index and phase arrays so (P psi)[m] = phase[m] * psi[source[m]]."""
-    dim = 1 << string.n_qubits
-    flip = sum(1 << q for q, op in enumerate(string.ops) if op in ("X", "Y"))
-    source = np.arange(dim) ^ flip
-    phase = np.ones(dim, dtype=complex)
-    for q, op in enumerate(string.ops):
-        bits = (source >> q) & 1
-        if op == "Y":
-            phase = phase * np.where(bits == 0, 1j, -1j)
-        elif op == "Z":
-            phase = phase * np.where(bits == 0, 1.0, -1.0)
-    return source, phase
-
-
-def pauli_action(state: StateVector, string: PauliString) -> np.ndarray:
-    source, phase = compile_pauli_action(string)
-    return phase * state.amplitudes[source]
-
-
 def apply_pauli_rotation(state: StateVector, string: PauliString, angle: float) -> StateVector:
     """exp(-i * angle * P) |psi> = cos(angle)|psi> - i sin(angle) P|psi>."""
     if string.n_qubits != state.n_qubits:
@@ -127,9 +107,11 @@ def rotate_amplitudes(
 
 def expectation(state: StateVector, h: PauliSum) -> float:
     """<psi|H|psi> for Hermitian H (real by construction)."""
+    amp = state.amplitudes
     total = 0.0 + 0.0j
     for string, coeff in h.items():
-        total += coeff * np.vdot(state.amplitudes, pauli_action(state, string))
+        source, phase = compile_pauli_action(string)
+        total += coeff * np.vdot(amp, phase * amp[source])
     return float(total.real)
 
 

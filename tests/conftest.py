@@ -5,9 +5,33 @@ from cvqelab.fci import enumerate_sector, ground_distribution, solve_fci
 from cvqelab.fermion import jordan_wigner, model_pauli, second_quantize
 from cvqelab.geometry import load_geometry, parse_geometry
 from cvqelab.integrals import compute_integrals
+from cvqelab.pauli import PauliString, PauliSum
 from cvqelab.scf import model_hamiltonian, run_scf, transform_to_mo
 
 TABLE_STATES = (7, 13, 19, 22, 25, 28, 37, 49, 52, 193, 196, 208)
+
+PAULI_MATRICES = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
+
+
+def kron_oracle(string: PauliString) -> np.ndarray:
+    """Independent dense build: qubit 0 least significant -> rightmost factor."""
+    out = np.eye(1, dtype=complex)
+    for op in string.ops:
+        out = np.kron(PAULI_MATRICES[op], out)
+    return out
+
+
+def kron_dense(h: PauliSum) -> np.ndarray:
+    """Independent dense build of a sum, term by term through kron_oracle."""
+    out = np.zeros((1 << h.n_qubits,) * 2, dtype=complex)
+    for string, coeff in h.items():
+        out += coeff * kron_oracle(string)
+    return out
 
 
 class WellSystem:

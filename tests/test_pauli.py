@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from cvqelab.pauli import (
     PauliString,
     PauliSum,
     ResourceLimitError,
+    compile_pauli_action,
     interpolate,
     number_operator,
     prune,
@@ -12,20 +15,7 @@ from cvqelab.pauli import (
     to_dense,
 )
 
-MATS = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
-
-def kron_oracle(string: PauliString) -> np.ndarray:
-    """Independent dense build: qubit 0 least significant -> rightmost factor."""
-    out = np.eye(1, dtype=complex)
-    for op in string.ops:
-        out = np.kron(MATS[op], out)
-    return out
+from conftest import kron_dense, kron_oracle
 
 
 def random_sum(rng, n_qubits, n_terms) -> PauliSum:
@@ -55,8 +45,41 @@ def test_single_qubit_dense():
 def test_dense_matches_kron_oracle():
     rng = np.random.default_rng(5)
     h = random_sum(rng, 3, 12)
-    direct = sum(c * kron_oracle(s) for s, c in h.items())
-    assert np.max(np.abs(to_dense(h) - direct)) < 1e-14
+    assert np.max(np.abs(to_dense(h) - kron_dense(h))) < 1e-14
+    for ops in itertools.product("IXYZ", repeat=3):
+        string = PauliString(ops)
+        single = to_dense(PauliSum.from_terms({string: 1.0}, 3))
+        assert np.array_equal(single, kron_oracle(string)), string.label()
+    for n_qubits in (1, 2, 4):
+        h = random_sum(rng, n_qubits, 3 * n_qubits)
+        assert np.max(np.abs(to_dense(h) - kron_dense(h))) < 1e-14
+
+
+def per_letter_action(string: PauliString) -> tuple[np.ndarray, np.ndarray]:
+    """Reference kernel: one phase pass over the register per Y or Z letter."""
+    dim = 1 << string.n_qubits
+    flip = sum(1 << q for q, op in enumerate(string.ops) if op in ("X", "Y"))
+    source = np.arange(dim) ^ flip
+    phase = np.ones(dim, dtype=complex)
+    for q, op in enumerate(string.ops):
+        bits = (source >> q) & 1
+        if op == "Y":
+            phase = phase * np.where(bits == 0, 1j, -1j)
+        elif op == "Z":
+            phase = phase * np.where(bits == 0, 1.0, -1.0)
+    return source, phase
+
+
+def test_action_kernel_matches_per_letter_reference():
+    """The parity fold needs more passes past 8 qubits; 12 is the H6 register."""
+    rng = np.random.default_rng(31)
+    for n_qubits in (5, 9, 12):
+        for _ in range(20):
+            string = PauliString(tuple(rng.choice(("I", "X", "Y", "Z"), size=n_qubits)))
+            source, phase = compile_pauli_action(string)
+            ref_source, ref_phase = per_letter_action(string)
+            assert np.array_equal(source, ref_source)
+            assert np.array_equal(phase, ref_phase), string.label()
 
 
 def test_hermiticity():

@@ -237,6 +237,16 @@ def test_cli_fcidump_round_trip(tmp_path, capsys):
     assert "FCI ground energy" in out
 
 
+def test_cli_fcidump_export_reads_config_geometry(tmp_path, capsys):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"geometry": "product"}))
+    path = tmp_path / "product.fcidump"
+    assert cli_main(["fcidump", "export", "--config", str(cfg_file), "--file", str(path)]) == 0
+    assert cli_main(["fcidump", "import", "--file", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "FCI ground energy = -1.744187594 Ha" in out
+
+
 def test_cli_error_exit_code(capsys):
     code = cli_main(["run", "--geometry", "missing.xyz", "--K", "1"])
     assert code == 2

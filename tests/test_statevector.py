@@ -17,6 +17,8 @@ from cvqelab.statevector import (
     sample_distribution,
 )
 
+from conftest import kron_dense, kron_oracle
+
 
 def random_state(rng, n_qubits) -> StateVector:
     amp = rng.normal(size=1 << n_qubits) + 1j * rng.normal(size=1 << n_qubits)
@@ -71,8 +73,7 @@ def test_rotation_matches_dense_exponential_oracle():
         string = PauliString(tuple(rng.choice(("I", "X", "Y", "Z"), size=3)))
         angle = float(rng.normal())
         rotated = apply_pauli_rotation(psi, string, angle)
-        dense = to_dense(PauliSum.from_terms({string: 1.0}, 3))
-        oracle = scipy.linalg.expm(-1j * angle * dense) @ psi.amplitudes
+        oracle = scipy.linalg.expm(-1j * angle * kron_oracle(string)) @ psi.amplitudes
         assert np.max(np.abs(rotated.amplitudes - oracle)) < 1e-12
 
 
@@ -221,7 +222,7 @@ def test_sector_confinement(well):
 def test_expectation_matches_dense(well):
     rng = np.random.default_rng(17)
     psi = random_state(rng, 8)
-    dense = to_dense(well.h_pauli)
+    dense = kron_dense(well.h_pauli)
     direct = float(np.real(np.vdot(psi.amplitudes, dense @ psi.amplitudes)))
     assert expectation(psi, well.h_pauli) == pytest.approx(direct, abs=1e-10)
 
