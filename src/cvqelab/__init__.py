@@ -2,8 +2,9 @@
 
 Pipeline: hydrogen-cluster geometry -> STO-6G integrals -> restricted
 open-shell HF -> Jordan-Wigner qubit Hamiltonian -> trapezoidal / Trotterized
-guiding-state preparation -> shot sampling -> classical subspace optimization
--> comparison against the sector full-CI oracle.
+guiding-state preparation -> shot sampling -> reference-sector filter ->
+classical subspace optimization -> comparison against the sector full-CI
+oracle.
 """
 
 from .constants import CHEMICAL_ACCURACY_EV, EV_PER_HARTREE
@@ -50,9 +51,7 @@ from .prep import (
 from .scf import (
     MOIntegrals,
     ModelHamiltonian,
-    SCFConfig,
     SCFResult,
-    basis_set_correction,
     load_hf_energy_table,
     model_hamiltonian,
     run_scf,
@@ -62,7 +61,6 @@ from .statevector import (
     Distribution,
     SampleCounts,
     StateVector,
-    apply_pauli_rotation,
     expectation,
     init_fock,
     mix_noise,
@@ -76,7 +74,6 @@ from .subspace import (
     build_subspace,
     collect_outcomes,
     embed_optimized,
-    lambda_diagnostics,
     optimize,
     slater_condon,
 )

@@ -9,19 +9,20 @@ Exit code 0 on success, 2 on stage failure with the stage named on stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
+import traceback
 from pathlib import Path
 
 from .constants import EV_PER_HARTREE
 from .fcidump import read_fcidump, write_fcidump
 from .fci import enumerate_sector, solve_fci
 from .fermion import second_quantize
-from .geometry import load_geometry
-from .integrals import compute_integrals
 from .pipeline import (
     REGIME_PRESETS,
     RunConfig,
+    build_mean_field,
     emit_report,
     omega_scan,
     run_multi_seed,
@@ -29,7 +30,7 @@ from .pipeline import (
     sweep_reaction_path,
 )
 from .prep import check_conditions
-from .scf import load_hf_energy_table, model_hamiltonian, run_scf, transform_to_mo
+from .scf import load_hf_energy_table, model_hamiltonian
 
 DEFAULT_OMEGAS = (1.0, 1 / 3, 1 / 5, 1 / 10)
 
@@ -53,21 +54,14 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
-    fields: dict = {}
-    if args.config:
-        fields.update(json.loads(args.config.read_text()))
-    regime = getattr(args, "regime", None) or fields.pop("regime", "")
-    if regime:
-        fields = {**REGIME_PRESETS[regime.upper()], **fields, "regime": regime.upper()}
-    for name in (
-        "geometry", "charge", "multiplicity", "K", "hbar_omega", "shots", "seed",
-        "count_threshold", "prune_threshold", "drop_diagonal", "term_order",
-        "noise_lambda", "output_dir",
-    ):
-        value = getattr(args, name, None)
+    """Regime preset, then config file, then flags; later sources win."""
+    fields = json.loads(args.config.read_text()) if args.config else {}
+    for field in dataclasses.fields(RunConfig):
+        value = getattr(args, field.name, None)
         if value is not None:
-            fields[name] = value
-    return RunConfig(**fields)
+            fields[field.name] = value
+    regime = fields.pop("regime", "")
+    return RunConfig.for_regime(regime, **fields) if regime else RunConfig(**fields)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -120,10 +114,7 @@ def _cmd_check_conditions(args: argparse.Namespace) -> int:
     if args.omega0 is not None:
         omega0 = args.omega0
     else:
-        geometry = load_geometry(config.geometry)
-        n_alpha, n_beta = config.electron_counts(geometry.n_atoms)
-        integrals = compute_integrals(geometry)
-        scf = run_scf(integrals, n_alpha, n_beta)
+        _, scf, _ = build_mean_field(config)
         omega0 = model_hamiltonian(scf).omega0
     report = check_conditions(config.K, config.hbar_omega, omega0)
     print(f"hbar_omega0 = {omega0:.6f} Ha")
@@ -137,13 +128,8 @@ def _cmd_check_conditions(args: argparse.Namespace) -> int:
 
 def _cmd_fcidump(args: argparse.Namespace) -> int:
     if args.action == "export":
-        config = _build_config(args)
-        geometry = load_geometry(config.geometry)
-        n_alpha, n_beta = config.electron_counts(geometry.n_atoms)
-        integrals = compute_integrals(geometry)
-        scf = run_scf(integrals, n_alpha, n_beta)
-        mo = transform_to_mo(integrals, scf)
-        text = write_fcidump(mo, n_elec=n_alpha + n_beta, ms2=n_alpha - n_beta)
+        _, scf, mo = build_mean_field(_build_config(args))
+        text = write_fcidump(mo, n_elec=scf.n_alpha + scf.n_beta, ms2=scf.n_alpha - scf.n_beta)
         if args.file:
             Path(args.file).write_text(text)
             print(f"wrote {args.file}")
@@ -159,6 +145,16 @@ def _cmd_fcidump(args: argparse.Namespace) -> int:
     print(f"FCI ground energy = {solution.energy:.9f} Ha "
           f"= {solution.energy * EV_PER_HARTREE:.4f} eV")
     return 0
+
+
+def _failed_stage(exc: Exception) -> str:
+    """Module name of the deepest traceback frame inside this package, or cli."""
+    stage = "cli"
+    for frame, _lineno in traceback.walk_tb(exc.__traceback__):
+        module = frame.f_globals.get("__name__", "")
+        if module.startswith(f"{__package__}."):
+            stage = module.rpartition(".")[2]
+    return stage
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -199,8 +195,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except Exception as exc:  # surface stage attribution, nonzero exit
-        stage = type(exc).__name__
-        print(f"error [{stage}]: {exc}", file=sys.stderr)
+        print(f"error [{_failed_stage(exc)}]: {exc}", file=sys.stderr)
         return 2
 
 

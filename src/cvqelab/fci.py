@@ -17,6 +17,7 @@ from .statevector import Distribution
 from .subspace import OutcomeSet, _annihilate, _create, build_subspace, slater_condon
 
 RESIDUAL_TOL = 1e-9
+COUPLING_FLOOR = 1e-6  # Hartree; model_coupled_gaps ignores weaker couplings
 
 
 @dataclass(frozen=True)
@@ -87,10 +88,7 @@ def ground_distribution(solution: FCISolution) -> Distribution:
 
 
 def model_coupled_gaps(
-    sq: SecondQuantizedHamiltonian,
-    eps_spin: np.ndarray,
-    phi0: int,
-    coupling_floor: float = 1e-6,
+    sq: SecondQuantizedHamiltonian, eps_spin: np.ndarray, phi0: int
 ) -> list[tuple[float, float]]:
     """Diagnostic spectrum of model-gap / coupling pairs.
 
@@ -116,7 +114,7 @@ def model_coupled_gaps(
         if det == phi0:
             continue
         coupling = abs(slater_condon(det, phi0, sq))
-        if coupling > coupling_floor:
+        if coupling > COUPLING_FLOOR:
             out.append((model_energy(det) - e0, coupling))
     out.sort()
     return out

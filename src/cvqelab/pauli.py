@@ -108,10 +108,6 @@ class PauliSum:
         ordered = dict(sorted(cleaned.items(), key=lambda kv: kv[0].ops))
         return cls(terms=ordered, n_qubits=n_qubits)
 
-    @classmethod
-    def zero(cls, n_qubits: int) -> "PauliSum":
-        return cls(terms={}, n_qubits=n_qubits)
-
     def __len__(self) -> int:
         return len(self.terms)
 
@@ -133,26 +129,6 @@ class PauliSum:
 
     def items(self):
         return self.terms.items()
-
-    def dumps(self) -> str:
-        """One term per line: coefficient, letter string (qubit 0 first)."""
-        lines = [f"{c:+.16e} {s.label()}" for s, c in self.terms.items()]
-        return "\n".join(lines) + ("\n" if lines else "")
-
-    @classmethod
-    def loads(cls, text: str, n_qubits: int | None = None) -> "PauliSum":
-        terms = {}
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            coeff_str, label = line.split()
-            string = PauliString.from_label(label)
-            terms[string] = terms.get(string, 0.0) + float(coeff_str)
-        if not terms and n_qubits is None:
-            raise ValueError("empty dump needs an explicit qubit count")
-        q = n_qubits if n_qubits is not None else next(iter(terms)).n_qubits
-        return cls.from_terms(terms, q)
 
 
 def interpolate(h0: PauliSum, h: PauliSum, eta: float) -> PauliSum:
@@ -199,10 +175,10 @@ def compile_pauli_action(string: PauliString) -> tuple[np.ndarray, np.ndarray]:
     return source, _I_POWERS[(n_y + 2 * (parity & 1)) & 3]
 
 
-def to_dense(h: PauliSum, cap: int = DENSE_QUBIT_CAP) -> np.ndarray:
+def to_dense(h: PauliSum) -> np.ndarray:
     """Dense 2^Q x 2^Q matrix; qubit 0 is the least-significant basis-index bit."""
-    if h.n_qubits > cap:
-        raise ResourceLimitError(f"{h.n_qubits} qubits exceeds dense cap {cap}")
+    if h.n_qubits > DENSE_QUBIT_CAP:
+        raise ResourceLimitError(f"{h.n_qubits} qubits exceeds dense cap {DENSE_QUBIT_CAP}")
     dim = 1 << h.n_qubits
     out = np.zeros((dim, dim), dtype=complex)
     idx = np.arange(dim)
@@ -210,24 +186,3 @@ def to_dense(h: PauliSum, cap: int = DENSE_QUBIT_CAP) -> np.ndarray:
         source, phase = compile_pauli_action(string)
         out[idx, source] += coeff * phase
     return out
-
-
-def number_operator(n_qubits: int) -> PauliSum:
-    """Total particle number: sum_q (I - Z_q)/2."""
-    terms = {PauliString.identity(n_qubits): n_qubits / 2.0}
-    for q in range(n_qubits):
-        terms[PauliString.single(n_qubits, q, "Z")] = -0.5
-    return PauliSum.from_terms(terms, n_qubits)
-
-
-def sz_operator(n_qubits: int) -> PauliSum:
-    """Total Sz for interleaved spin ordering (even qubits up, odd down)."""
-    terms: dict[PauliString, float] = {}
-    n_even = (n_qubits + 1) // 2
-    n_odd = n_qubits // 2
-    if n_even != n_odd:
-        terms[PauliString.identity(n_qubits)] = 0.25 * (n_even - n_odd)
-    for q in range(n_qubits):
-        sign = 1.0 if q % 2 == 0 else -1.0
-        terms[PauliString.single(n_qubits, q, "Z")] = -0.25 * sign
-    return PauliSum.from_terms(terms, n_qubits)

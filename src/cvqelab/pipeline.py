@@ -1,6 +1,7 @@
 """End-to-end orchestration: geometry -> integrals -> SCF -> Hamiltonians ->
-state preparation -> sampling -> subspace optimization -> FCI comparison,
-plus distribution metrics, reaction-path sweeps, and report emission.
+state preparation -> sampling -> sector filter -> subspace optimization ->
+FCI comparison, plus distribution metrics, reaction-path sweeps, and report
+emission.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .prep import (
     prepare_trapezoidal,
 )
 from .scf import (
+    MOIntegrals,
     SCFResult,
     lookup_external_hf,
     model_hamiltonian,
@@ -55,6 +57,7 @@ from .subspace import (
     collect_outcomes,
     embed_optimized,
     optimize,
+    restrict_to_sector,
 )
 
 OUTPUT_ROOT_ENV = "CVQELAB_OUTPUT_ROOT"
@@ -127,11 +130,8 @@ class StageReport:
     omega0: float
     outcome_count: int
     metrics_vs_ground: dict[str, dict[str, float]]
-    optimized: OptimizedState | None = None
-    n_qubits: int = 8
-
-    def distribution(self, label: str) -> Distribution:
-        return self.distributions[label]
+    optimized: OptimizedState
+    n_qubits: int
 
 
 @dataclass(frozen=True)
@@ -149,12 +149,20 @@ class SystemModel:
     ground: Distribution
 
 
-def build_system(config: RunConfig, geometry: Geometry | None = None) -> SystemModel:
+def build_mean_field(
+    config: RunConfig, geometry: Geometry | None = None
+) -> tuple[Geometry, SCFResult, MOIntegrals]:
+    """Geometry -> electron counts -> integrals -> SCF -> MO integrals."""
     geom = geometry if geometry is not None else load_geometry(config.geometry)
     n_alpha, n_beta = config.electron_counts(geom.n_atoms)
     integrals = compute_integrals(geom)
     scf = run_scf(integrals, n_alpha, n_beta)
-    mo = transform_to_mo(integrals, scf)
+    return geom, scf, transform_to_mo(integrals, scf)
+
+
+def build_system(config: RunConfig, geometry: Geometry | None = None) -> SystemModel:
+    geom, scf, mo = build_mean_field(config, geometry)
+    n_alpha, n_beta = scf.n_alpha, scf.n_beta
     sq = second_quantize(mo)
     h = jordan_wigner(sq)
     model = model_hamiltonian(scf)
@@ -221,7 +229,11 @@ def finish_run(prepared: PreparedRun, seed: int) -> StageReport:
 
     counts = sample_distribution(prepared.sampled_from, config.shots, seed)
     s_gd = counts.empirical_distribution(label="sGD")
-    outcomes = collect_outcomes(counts, config.count_threshold)
+    outcomes = restrict_to_sector(
+        collect_outcomes(counts, config.count_threshold),
+        sys_model.scf.n_alpha,
+        sys_model.scf.n_beta,
+    )
     opt = optimize(build_subspace(outcomes, sys_model.sq))
     psi_opt = embed_optimized(opt.theta, outcomes, n_qubits)
     p_od = probabilities(psi_opt, label="pOD")
@@ -417,13 +429,12 @@ def emit_report(report: StageReport, output_dir: str | Path | None = None) -> li
         path.write_text("\n".join(lines) + "\n")
         written.append(path)
 
-    if report.optimized is not None:
-        path = out / "optimized_state.csv"
-        lines = ["index,bitstring,re_theta,im_theta"]
-        for theta, n in zip(report.optimized.theta, report.optimized.basis.members):
-            lines.append(f"{n},{n:0{q}b},{theta.real!r},{theta.imag!r}")
-        path.write_text("\n".join(lines) + "\n")
-        written.append(path)
+    path = out / "optimized_state.csv"
+    lines = ["index,bitstring,re_theta,im_theta"]
+    for theta, n in zip(report.optimized.theta, report.optimized.basis.members):
+        lines.append(f"{n},{n:0{q}b},{theta.real!r},{theta.imag!r}")
+    path.write_text("\n".join(lines) + "\n")
+    written.append(path)
 
     payload = {
         "config": asdict(report.config),

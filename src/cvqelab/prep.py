@@ -105,21 +105,6 @@ def prepare_trapezoidal(
     return StateVector(full, h.n_qubits)
 
 
-def ordered_terms(h: PauliSum, order: str) -> list[tuple[PauliString, float]]:
-    items = list(h.items())
-    if order == "magnitude_desc":
-        items.sort(key=lambda kv: (-abs(kv[1]), kv[0].ops))
-    elif order == "magnitude_asc":
-        items.sort(key=lambda kv: (abs(kv[1]), kv[0].ops))
-    elif order == "canonical":
-        items.sort(key=lambda kv: kv[0].ops)
-    elif order == "canonical_reversed":
-        items.sort(key=lambda kv: kv[0].ops, reverse=True)
-    else:
-        raise ValueError(f"unknown term order {order!r}")
-    return items
-
-
 def _staircase(
     h0: PauliSum | None, h: PauliSum, schedule: PrepSchedule, trotter: TrotterConfig
 ) -> tuple[list[PauliString], np.ndarray, np.ndarray]:
@@ -194,9 +179,7 @@ def prepare_guiding(
     return StateVector(amp, h.n_qubits)
 
 
-def check_conditions(
-    K: int, hbar_omega: float, omega0: float, margin: float = CONDITION_MARGIN
-) -> ConditionReport:
+def check_conditions(K: int, hbar_omega: float, omega0: float) -> ConditionReport:
     """Numeric report on the two discretized adiabatic ratios (never blocks)."""
     if K < 1 or hbar_omega <= 0 or omega0 <= 0:
         raise ValueError("K, hbar_omega and omega0 must be positive")
@@ -205,9 +188,8 @@ def check_conditions(
     return ConditionReport(
         left_ratio=left,
         right_ratio=right,
-        left_satisfied=left < margin,
-        right_satisfied=right < margin,
-        margin=margin,
+        left_satisfied=left < CONDITION_MARGIN,
+        right_satisfied=right < CONDITION_MARGIN,
     )
 
 

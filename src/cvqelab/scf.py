@@ -54,13 +54,11 @@ class DegenerateGapWarning(UserWarning):
     """Frontier orbitals are degenerate; the model gap is ill-defined."""
 
 
-@dataclass(frozen=True)
-class SCFConfig:
-    energy_tol: float = 1e-10
-    commutator_tol: float = 1e-8
-    max_iterations: int = 200
-    diis_size: int = 8
-    occupation_window: int = 2   # extra orbitals beyond n_occ tried in pattern search
+ENERGY_TOL = 1e-10       # Hartree
+COMMUTATOR_TOL = 1e-8
+MAX_ITERATIONS = 200
+DIIS_SIZE = 8
+OCCUPATION_WINDOW = 2    # extra orbitals beyond n_occ tried in pattern search
 
 
 @dataclass(frozen=True)
@@ -112,12 +110,7 @@ def _candidate_patterns(n_mo: int, n_docc: int, n_socc: int, window: int):
     return patterns
 
 
-def run_scf(
-    integrals: IntegralSet,
-    n_alpha: int,
-    n_beta: int,
-    config: SCFConfig | None = None,
-) -> SCFResult:
+def run_scf(integrals: IntegralSet, n_alpha: int, n_beta: int) -> SCFResult:
     """Converge ROHF and return the lowest-energy solution found."""
     if n_alpha < n_beta:
         raise ValueError("n_alpha must be >= n_beta")
@@ -125,14 +118,13 @@ def run_scf(
         raise ValueError("more electrons than spin orbitals")
     if n_alpha < 1:
         raise ValueError("at least one electron required")
-    cfg = config or SCFConfig()
     n_docc, n_socc = n_beta, n_alpha - n_beta
 
     best: tuple[float, SCFResult] | None = None
     last_error: ConvergenceError | None = None
-    for docc, socc in _candidate_patterns(integrals.n_ao, n_docc, n_socc, cfg.occupation_window):
+    for docc, socc in _candidate_patterns(integrals.n_ao, n_docc, n_socc, OCCUPATION_WINDOW):
         try:
-            result = _converge_pattern(integrals, n_alpha, n_beta, docc, socc, cfg)
+            result = _converge_pattern(integrals, n_alpha, n_beta, docc, socc)
         except ConvergenceError as err:
             last_error = err
             continue
@@ -149,7 +141,6 @@ def _converge_pattern(
     n_beta: int,
     docc_seed: tuple[int, ...],
     socc_seed: tuple[int, ...],
-    cfg: SCFConfig,
 ) -> SCFResult:
     s, h, eri = integrals.overlap, integrals.core, integrals.eri
     n_ao = integrals.n_ao
@@ -165,7 +156,7 @@ def _converge_pattern(
     delta = np.inf
     focks: list[np.ndarray] = []
     errors: list[np.ndarray] = []
-    for iteration in range(1, cfg.max_iterations + 1):
+    for iteration in range(1, MAX_ITERATIONS + 1):
         c_occ_a = np.hstack([docc_c, socc_c]) if n_socc else docc_c
         d_a = c_occ_a @ c_occ_a.T
         d_b = docc_c @ docc_c.T if n_docc else np.zeros_like(s)
@@ -185,7 +176,7 @@ def _converge_pattern(
         comm_norm = float(np.linalg.norm(error))
         delta = abs(new_energy - energy)
         energy = new_energy
-        if iteration > 1 and delta < cfg.energy_tol and comm_norm < cfg.commutator_tol:
+        if iteration > 1 and delta < ENERGY_TOL and comm_norm < COMMUTATOR_TOL:
             return _finalize(
                 integrals, f_a, f_b, docc_c, socc_c, virt_c,
                 float(energy), n_alpha, n_beta, iteration,
@@ -193,7 +184,7 @@ def _converge_pattern(
 
         focks.append(f_eff)
         errors.append(error)
-        if len(focks) > cfg.diis_size:
+        if len(focks) > DIIS_SIZE:
             focks.pop(0)
             errors.pop(0)
         f_use = f_eff
@@ -204,7 +195,7 @@ def _converge_pattern(
         docc_c, socc_c, virt_c = _assign_by_overlap(
             c_new, eps_new, s, docc_c, socc_c, n_docc, n_socc
         )
-    raise ConvergenceError(cfg.max_iterations, delta)
+    raise ConvergenceError(MAX_ITERATIONS, delta)
 
 
 def _assign_by_overlap(
@@ -364,17 +355,6 @@ def model_hamiltonian(scf: SCFResult) -> ModelHamiltonian:
             stacklevel=2,
         )
     return ModelHamiltonian(eps_spin=eps_spin, shift=shift, omega0=omega0)
-
-
-def basis_set_correction(e_hf_large: float | None, e_hf_small: float | None) -> float:
-    """Difference of large- and small-basis HF energies (Hartree).
-
-    The large-basis value always comes from an external table; a missing value
-    raises rather than silently contributing zero.
-    """
-    if e_hf_large is None or e_hf_small is None:
-        raise MissingCorrectionError("large-basis HF energy not supplied")
-    return e_hf_large - e_hf_small
 
 
 def load_hf_energy_table(path: str | Path) -> dict[str, float]:

@@ -12,11 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import PauliString, PauliSum, compile_pauli_action
+from .pauli import PauliSum, compile_pauli_action
 
 NORM_TOL = 1e-10
-
-DISTRIBUTION_LABELS = ("pTD", "pGD", "sGD", "pOD", "pGndD")
 
 
 @dataclass
@@ -28,12 +26,6 @@ class StateVector:
         self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
         if self.amplitudes.shape != (1 << self.n_qubits,):
             raise ValueError("amplitude array length must be 2^Q")
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def copy(self) -> "StateVector":
-        return StateVector(self.amplitudes.copy(), self.n_qubits)
 
 
 @dataclass(frozen=True)
@@ -70,9 +62,6 @@ class Distribution:
     def support(self, cutoff: float = 1e-12) -> set[int]:
         return {n for n, p in self.probs.items() if p > cutoff}
 
-    def relabeled(self, label: str) -> "Distribution":
-        return Distribution(probs=dict(self.probs), label=label)
-
 
 def rng_from_seed(seed: int) -> np.random.Generator:
     """Counter-based Philox generator with an explicit 64-bit key."""
@@ -87,14 +76,6 @@ def init_fock(n: int, n_qubits: int) -> StateVector:
     amp = np.zeros(dim, dtype=complex)
     amp[n] = 1.0
     return StateVector(amp, n_qubits)
-
-
-def apply_pauli_rotation(state: StateVector, string: PauliString, angle: float) -> StateVector:
-    """exp(-i * angle * P) |psi> = cos(angle)|psi> - i sin(angle) P|psi>."""
-    if string.n_qubits != state.n_qubits:
-        raise ValueError("qubit count mismatch")
-    amp = rotate_amplitudes(state.amplitudes, compile_pauli_action(string), angle)
-    return StateVector(amp, state.n_qubits)
 
 
 def rotate_amplitudes(

@@ -1,6 +1,7 @@
-"""Classical subspace cascade: threshold sampled outcomes, assemble the
-sampled-basis Hamiltonian from determinant matrix elements, diagonalize,
-and embed the optimized state back on the register.
+"""Classical subspace cascade: threshold sampled outcomes, keep those in the
+reference (n_alpha, n_beta) sector, assemble the sampled-basis Hamiltonian
+from determinant matrix elements, diagonalize, and embed the optimized state
+back on the register.
 
 Matrix elements between Fock occupation bitstrings follow the standard
 two-difference excitation rules with fermionic parity consistent with the
@@ -11,23 +12,26 @@ restricted to the sampled rows/columns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .fermion import SecondQuantizedHamiltonian
 from .statevector import SampleCounts, StateVector, init_fock
 
+# interleaved spin layout: up spin orbitals on even bits, down on odd bits
+_UP_BITS = 0x5555555555555555
+_DOWN_BITS = _UP_BITS << 1
+
 
 class EmptySubspaceError(ValueError):
-    """No outcomes survive the count threshold."""
+    """No outcomes survive the count threshold or the sector filter."""
 
 
 @dataclass(frozen=True)
 class OutcomeSet:
     members: tuple[int, ...]          # ascending Fock indices
     threshold: int
-    source_counts: SampleCounts | None = None
 
     def __post_init__(self):
         if list(self.members) != sorted(set(self.members)):
@@ -61,7 +65,27 @@ def collect_outcomes(counts: SampleCounts, threshold: int = 1) -> OutcomeSet:
             f"no outcome reaches the count threshold {floor} "
             f"(max observed count {max(counts.counts.values(), default=0)})"
         )
-    return OutcomeSet(members=members, threshold=floor, source_counts=counts)
+    return OutcomeSet(members=members, threshold=floor)
+
+
+def restrict_to_sector(outcomes: OutcomeSet, n_alpha: int, n_beta: int) -> OutcomeSet:
+    """Members with n_alpha up (even-bit) and n_beta down (odd-bit) occupations.
+
+    Noise and Trotter leakage put counts on determinants of other particle-
+    number and spin sectors; the sector Hamiltonian's ground energy bounds
+    E* from below only once those are gone.
+    """
+    members = tuple(
+        n for n in outcomes.members
+        if bin(n & _UP_BITS).count("1") == n_alpha
+        and bin(n & _DOWN_BITS).count("1") == n_beta
+    )
+    if not members:
+        raise EmptySubspaceError(
+            f"none of the {len(outcomes)} outcomes lies in the "
+            f"(n_alpha, n_beta) = ({n_alpha}, {n_beta}) sector"
+        )
+    return replace(outcomes, members=members)
 
 
 def _occupied(n: int, q: int) -> list[int]:
@@ -171,43 +195,3 @@ def embed_optimized(theta: np.ndarray, outcomes: OutcomeSet, n_qubits: int) -> S
     for val, n in zip(theta, outcomes.members):
         state.amplitudes[n] = val
     return state
-
-
-INF_PHASE_SENTINEL = complex(0.0, np.inf)
-
-
-def lambda_diagnostics(
-    theta: np.ndarray,
-    guiding: StateVector,
-    outcomes: OutcomeSet,
-    n_qubits: int | None = None,
-) -> dict[int, complex]:
-    """Per-state phases lambda_n = -i ln(theta_n / <n|guiding>), principal branch.
-
-    Members with vanishing guiding amplitude are flagged with NaN.  When
-    n_qubits is given, every non-member Fock index appears at the
-    +i-infinity sentinel (its amplitude is pinned to zero).
-    """
-    out: dict[int, complex] = {}
-    if n_qubits is not None:
-        member_set = set(outcomes.members)
-        for n in range(1 << n_qubits):
-            if n not in member_set:
-                out[n] = INF_PHASE_SENTINEL
-    for val, n in zip(np.asarray(theta, dtype=complex), outcomes.members):
-        amp = guiding.amplitudes[n]
-        if abs(amp) < 1e-300:
-            out[n] = complex(np.nan, np.nan)
-            continue
-        out[n] = -1j * np.log(val / amp)
-    return out
-
-
-def reconstruct_from_lambdas(
-    lambdas: dict[int, complex], guiding: StateVector, outcomes: OutcomeSet
-) -> np.ndarray:
-    """Invert the diagnostic map: theta_n = exp(i lambda_n) <n|guiding>."""
-    return np.array(
-        [np.exp(1j * lambdas[n]) * guiding.amplitudes[n] for n in outcomes.members],
-        dtype=complex,
-    )

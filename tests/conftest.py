@@ -5,8 +5,9 @@ from cvqelab.fci import enumerate_sector, ground_distribution, solve_fci
 from cvqelab.fermion import jordan_wigner, model_pauli, second_quantize
 from cvqelab.geometry import load_geometry, parse_geometry
 from cvqelab.integrals import compute_integrals
-from cvqelab.pauli import PauliString, PauliSum
+from cvqelab.pauli import PauliString, PauliSum, compile_pauli_action
 from cvqelab.scf import model_hamiltonian, run_scf, transform_to_mo
+from cvqelab.statevector import StateVector, rotate_amplitudes
 
 TABLE_STATES = (7, 13, 19, 22, 25, 28, 37, 49, 52, 193, 196, 208)
 
@@ -32,6 +33,52 @@ def kron_dense(h: PauliSum) -> np.ndarray:
     for string, coeff in h.items():
         out += coeff * kron_oracle(string)
     return out
+
+
+def number_operator(n_qubits: int) -> PauliSum:
+    """Total particle number: sum_q (I - Z_q)/2."""
+    terms = {PauliString.identity(n_qubits): n_qubits / 2.0}
+    for q in range(n_qubits):
+        terms[PauliString.single(n_qubits, q, "Z")] = -0.5
+    return PauliSum.from_terms(terms, n_qubits)
+
+
+def sz_operator(n_qubits: int) -> PauliSum:
+    """Total Sz for interleaved spin ordering (even qubits up, odd down)."""
+    terms: dict[PauliString, float] = {}
+    n_even = (n_qubits + 1) // 2
+    n_odd = n_qubits // 2
+    if n_even != n_odd:
+        terms[PauliString.identity(n_qubits)] = 0.25 * (n_even - n_odd)
+    for q in range(n_qubits):
+        sign = 1.0 if q % 2 == 0 else -1.0
+        terms[PauliString.single(n_qubits, q, "Z")] = -0.25 * sign
+    return PauliSum.from_terms(terms, n_qubits)
+
+
+def apply_pauli_rotation(state: StateVector, string: PauliString, angle: float) -> StateVector:
+    """exp(-i * angle * P) |psi> = cos(angle)|psi> - i sin(angle) P|psi>."""
+    if string.n_qubits != state.n_qubits:
+        raise ValueError("qubit count mismatch")
+    amp = rotate_amplitudes(state.amplitudes, compile_pauli_action(string), angle)
+    return StateVector(amp, state.n_qubits)
+
+
+def ordered_terms(h: PauliSum, order: str) -> list[tuple[PauliString, float]]:
+    """One Trotter step's terms in the given order; the per-step reference
+    loop that prep.prepare_guiding is tested against."""
+    items = list(h.items())
+    if order == "magnitude_desc":
+        items.sort(key=lambda kv: (-abs(kv[1]), kv[0].ops))
+    elif order == "magnitude_asc":
+        items.sort(key=lambda kv: (abs(kv[1]), kv[0].ops))
+    elif order == "canonical":
+        items.sort(key=lambda kv: kv[0].ops)
+    elif order == "canonical_reversed":
+        items.sort(key=lambda kv: kv[0].ops, reverse=True)
+    else:
+        raise ValueError(f"unknown term order {order!r}")
+    return items
 
 
 class WellSystem:

@@ -11,11 +11,11 @@ from cvqelab.fermion import (
 )
 from cvqelab.geometry import parse_geometry
 from cvqelab.integrals import compute_integrals
-from cvqelab.pauli import PauliString, number_operator, sz_operator, to_dense
+from cvqelab.pauli import PauliString, to_dense
 from cvqelab.scf import MOIntegrals, run_scf, transform_to_mo
 from cvqelab.subspace import slater_condon
 
-from conftest import random_cluster
+from conftest import number_operator, random_cluster, sz_operator
 
 
 def random_mo_integrals(rng, n_mo) -> MOIntegrals:

@@ -9,13 +9,11 @@ from cvqelab.pauli import (
     ResourceLimitError,
     compile_pauli_action,
     interpolate,
-    number_operator,
     prune,
-    sz_operator,
     to_dense,
 )
 
-from conftest import kron_dense, kron_oracle
+from conftest import kron_dense, kron_oracle, number_operator, sz_operator
 
 
 def random_sum(rng, n_qubits, n_terms) -> PauliSum:
@@ -140,16 +138,6 @@ def test_coefficient_floor_cancellation():
     z = PauliSum.from_terms({PauliString.from_label("Z"): 1.0}, 1)
     cancelled = z + z.scaled(-1.0)
     assert len(cancelled) == 0
-
-
-def test_dump_load_round_trip():
-    rng = np.random.default_rng(4)
-    h = random_sum(rng, 3, 9)
-    again = PauliSum.loads(h.dumps())
-    assert again.terms.keys() == h.terms.keys()
-    for s in h.terms:
-        assert again.terms[s] == pytest.approx(h.terms[s], abs=1e-15)
-    assert PauliSum.loads("", n_qubits=2).n_qubits == 2
 
 
 def test_deterministic_iteration_order():

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -147,16 +148,23 @@ def test_omega_scan_infinite_scale_limit(well_system):
     assert result["rows"][0]["hf_probability"] == pytest.approx(1.0, abs=1e-8)
 
 
-def test_noise_mixing_floods_outcomes_without_threshold(well_system):
+def in_well_sector(n: int) -> bool:
+    """The well's reference sector: 2 up (even-bit) and 1 down (odd-bit) electrons."""
+    return bin(n & 0b01010101).count("1") == 2 and bin(n & 0b10101010).count("1") == 1
+
+
+@pytest.mark.parametrize("noise_lambda,seed", itertools.product((0.05, 0.3, 0.5), (1, 2, 3)))
+def test_noise_mixing_keeps_variational_bound(well_system, noise_lambda, seed):
     cfg = RunConfig(
-        geometry="well", K=1, hbar_omega=1.0, shots=200000, seed=8, noise_lambda=0.5
+        geometry="well", K=1, hbar_omega=1.0, shots=200000, seed=seed,
+        noise_lambda=noise_lambda,
     )
     report = run_pipeline(cfg, system=well_system)
-    # uniform floor spreads outcomes across many symmetry-forbidden states,
-    # and other-sector blocks can dip below the sector ground energy:
-    # exactly the failure mode the count threshold exists to prevent
-    assert report.outcome_count > 100
-    assert report.e_optimized < report.e_g
+    # the uniform floor puts counts on determinants of every sector, and
+    # other-sector blocks dip below the sector ground energy unless dropped
+    assert all(in_well_sector(n) for n in report.optimized.basis.members)
+    assert report.outcome_count == len(report.optimized.basis.members)
+    assert report.e_optimized >= report.e_g - 1e-10
 
 
 def test_noise_mixing_with_count_threshold_restores_bound(well_system):
@@ -165,11 +173,7 @@ def test_noise_mixing_with_count_threshold_restores_bound(well_system):
         noise_lambda=0.5, count_threshold=800,
     )
     report = run_pipeline(cfg, system=well_system)
-    sector_ok = all(
-        bin(n & 0b01010101).count("1") == 2 and bin(n & 0b10101010).count("1") == 1
-        for n in report.distributions["pOD"].support(1e-9)
-    )
-    assert sector_ok
+    assert all(in_well_sector(n) for n in report.distributions["pOD"].support(1e-9))
     assert report.e_optimized >= report.e_g - 1e-10
 
 
@@ -219,6 +223,24 @@ def test_cli_check_conditions(capsys):
     assert "satisfied" in out
 
 
+def test_cli_check_conditions_computes_omega0(capsys):
+    argv = ["check-conditions", "--geometry", "well", "--K", "500", "--hbar-omega", "10"]
+    assert cli_main(argv) == 0
+    assert "hbar_omega0 = 0.493753 Ha" in capsys.readouterr().out
+
+
+def test_cli_config_precedence_preset_file_flag(tmp_path):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"regime": "b", "K": 3, "shots": 1000}))
+    argv = ["run", "--config", str(cfg_file), "--regime", "A", "--shots", "7",
+            "--out", str(tmp_path / "o")]
+    assert cli_main(argv) == 0
+    config = json.loads((tmp_path / "o" / "report.json").read_text())["config"]
+    assert config["regime"] == "A" and config["hbar_omega"] == 10.0  # the flag's preset
+    assert config["K"] == 3  # the file beats the preset
+    assert config["shots"] == 7  # the flag beats the file
+
+
 def test_cli_scan_omega(capsys):
     code = cli_main(
         ["scan-omega", "--geometry", "well", "--K", "1", "--omegas", "1.0,1e9"]
@@ -251,6 +273,19 @@ def test_cli_error_exit_code(capsys):
     code = cli_main(["run", "--geometry", "missing.xyz", "--K", "1"])
     assert code == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,stage",
+    [
+        (["run", "--geometry", "missing.xyz", "--K", "1"], "geometry"),
+        (["run", "--regime", "C", "--shots", "100", "--count-threshold", "1000"], "subspace"),
+        (["run", "--regime", "C", "--K", "0"], "prep"),
+    ],
+)
+def test_cli_error_names_stage(argv, stage, capsys):
+    assert cli_main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error [{stage}]: ")
 
 
 def test_cli_multi_seed(capsys):

@@ -8,7 +8,6 @@ from cvqelab.integrals import IntegralSet, compute_integrals
 from cvqelab.scf import (
     MissingCorrectionError,
     MOIntegrals,
-    basis_set_correction,
     load_hf_energy_table,
     lookup_external_hf,
     model_hamiltonian,
@@ -213,13 +212,6 @@ def test_degenerate_gap_warning():
     )
     with pytest.warns(DegenerateGapWarning):
         model_hamiltonian(scf)
-
-
-def test_basis_set_correction():
-    assert basis_set_correction(-1.13, -1.12) == pytest.approx(-0.01, abs=1e-12)
-    assert basis_set_correction(-1.0, -1.0) == 0.0
-    with pytest.raises(MissingCorrectionError):
-        basis_set_correction(None, -1.0)
 
 
 def test_hf_energy_table(tmp_path):

@@ -12,9 +12,8 @@ from cvqelab.subspace import (
     build_subspace,
     collect_outcomes,
     embed_optimized,
-    lambda_diagnostics,
     optimize,
-    reconstruct_from_lambdas,
+    restrict_to_sector,
     slater_condon,
 )
 
@@ -34,6 +33,16 @@ def test_collect_outcomes_basics():
         collect_outcomes(counts_of({7: 3}), 10)
     with pytest.raises(ValueError):
         collect_outcomes(counts_of({7: 3}), -1)
+
+
+def test_restrict_to_sector():
+    # 7 and 13 hold (2 up, 1 down); 11 holds (1, 2); 15 holds (2, 2)
+    outcomes = collect_outcomes(counts_of({7: 5, 11: 5, 13: 5, 15: 5}), 1)
+    kept = restrict_to_sector(outcomes, 2, 1)
+    assert kept.members == (7, 13)
+    assert kept.threshold == outcomes.threshold
+    with pytest.raises(EmptySubspaceError, match=r"\(2, 1\) sector"):
+        restrict_to_sector(collect_outcomes(counts_of({11: 5, 15: 5}), 1), 2, 1)
 
 
 def test_outcome_set_ordering_invariant():
@@ -164,54 +173,3 @@ def test_optimized_state_close_to_ground_distribution(well):
         abs(p_od.probability(n) - well.ground.probability(n)) for n in keys
     )
     assert tv < 0.01
-
-
-def test_lambda_identity_and_phase(well):
-    psi = prepare_guiding(
-        well.h0_pauli, well.h_pauli, build_schedule(1, 1.0), 7, TrotterConfig()
-    )
-    members = tuple(sorted(n for n, p in probabilities(psi).probs.items() if p > 1e-8))
-    outcomes = OutcomeSet(members=members, threshold=1)
-    theta_same = np.array([psi.amplitudes[n] for n in members])
-    theta_same = theta_same / np.linalg.norm(theta_same)
-    lambdas = lambda_diagnostics(theta_same, psi, outcomes)
-    # identical phases up to normalization: lambda is purely imaginary and tiny
-    for lam in lambdas.values():
-        assert abs(lam.real) < 1e-12
-
-    theta_rot = 1j * theta_same
-    lambdas = lambda_diagnostics(theta_rot, psi, outcomes)
-    for lam in lambdas.values():
-        assert lam.real == pytest.approx(np.pi / 2, abs=1e-10)
-
-
-def test_lambda_round_trip(well):
-    psi = prepare_guiding(
-        well.h0_pauli, well.h_pauli, build_schedule(1, 1.0), 7, TrotterConfig()
-    )
-    counts = sample(psi, 1 << 12, seed=3)
-    outcomes = collect_outcomes(counts, 1)
-    opt = optimize(build_subspace(outcomes, well.sq))
-    lambdas = lambda_diagnostics(opt.theta, psi, outcomes)
-    rebuilt = reconstruct_from_lambdas(lambdas, psi, outcomes)
-    assert np.max(np.abs(rebuilt - opt.theta)) < 1e-10
-
-
-def test_lambda_sentinel_for_non_members(well):
-    psi = prepare_guiding(
-        well.h0_pauli, well.h_pauli, build_schedule(1, 1.0), 7, TrotterConfig()
-    )
-    outcomes = OutcomeSet(members=(7,), threshold=1)
-    lambdas = lambda_diagnostics(np.array([1.0 + 0j]), psi, outcomes, n_qubits=8)
-    assert len(lambdas) == 256
-    assert lambdas[8].imag == np.inf
-    assert np.isfinite(lambdas[7].real)
-
-
-def test_lambda_zero_amplitude_flag():
-    from cvqelab.statevector import init_fock
-
-    psi = init_fock(0, 2)  # no amplitude on |3>
-    outcomes = OutcomeSet(members=(3,), threshold=1)
-    lambdas = lambda_diagnostics(np.array([1.0 + 0j]), psi, outcomes)
-    assert np.isnan(lambdas[3].real)
