@@ -59,7 +59,7 @@ def solve_fci(basis: SectorBasis, sq: SecondQuantizedHamiltonian) -> FCISolution
     """Lowest eigenpair of the Hamiltonian over the sector."""
     if not basis.determinants:
         raise ValueError("empty sector basis")
-    outcomes = OutcomeSet(members=basis.determinants, threshold=0)
+    outcomes = OutcomeSet(members=basis.determinants)
     sub = build_subspace(outcomes, sq)
     evals, evecs = np.linalg.eigh(sub.matrix)
     energy = float(evals[0])

@@ -12,8 +12,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import PauliString, PauliSum
+from .pauli import (
+    COEFF_FLOOR,
+    PauliString,
+    PauliSum,
+    mask_phases,
+    strings_from_masks,
+    symplectic_product,
+)
 from .scf import ModelHamiltonian, MOIntegrals
+
+# one- and two-body entries below this magnitude are skipped, Hartree
+_ENTRY_FLOOR = 1e-15
+
+# coefficients of the two monomials of a+_m and of a_m (see _ladder_monomials)
+_CREATE = np.array([0.5, 0.5])
+_ANNIHILATE = np.array([0.5, -0.5])
 
 
 @dataclass(frozen=True)
@@ -73,61 +87,65 @@ def second_quantize(mo: MOIntegrals) -> SecondQuantizedHamiltonian:
     )
 
 
-def _jw_ladder(q_tot: int, mode: int, dagger: bool) -> dict[PauliString, complex]:
-    """a_mode or a+_mode as a two-string Pauli sum with the Z parity tail."""
-    ops_x = ["Z"] * mode + ["X"] + ["I"] * (q_tot - mode - 1)
-    ops_y = ["Z"] * mode + ["Y"] + ["I"] * (q_tot - mode - 1)
-    sign = -1j if dagger else 1j
-    return {
-        PauliString(tuple(ops_x)): 0.5,
-        PauliString(tuple(ops_y)): 0.5 * sign,
-    }
+def _ladder_monomials(
+    modes: tuple[np.ndarray, ...], daggers: tuple[bool, ...], coeffs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Expand coeffs[k] * prod_j a(+)_{modes[j][k]} into X^x Z^z monomials.
+
+    a+_m = Z_{<m} X_m (1 + Z_m) / 2 and a_m = Z_{<m} X_m (1 - Z_m) / 2, so each
+    ladder operator is two monomials with x = 2^m, z = 2^m - 1 or 2^(m+1) - 1.
+    Returns flat (x, z, coeff) arrays, 2^len(modes) monomials per entry.
+    """
+    n = len(coeffs)
+    x = np.zeros((n, 1), dtype=np.int64)
+    z = np.zeros((n, 1), dtype=np.int64)
+    c = coeffs.reshape(n, 1)
+    for j, (m, dagger) in enumerate(zip(modes, daggers)):
+        bit = (np.int64(1) << m)[:, None, None]
+        z_m = np.concatenate([bit - 1, 2 * bit - 1], axis=2)
+        x, z, sign = symplectic_product(x[:, :, None], z[:, :, None], bit, z_m)
+        c = c[:, :, None] * sign * (_CREATE if dagger else _ANNIHILATE)
+        x, z, c = x.reshape(n, 1), z.reshape(n, 2 << j), c.reshape(n, 2 << j)
+    return np.broadcast_to(x, z.shape).ravel(), z.ravel(), c.ravel()
 
 
-def _multiply_sums(
-    a: dict[PauliString, complex], b: dict[PauliString, complex]
-) -> dict[PauliString, complex]:
-    out: dict[PauliString, complex] = {}
-    for sa, ca in a.items():
-        for sb, cb in b.items():
-            phase, s = sa * sb
-            out[s] = out.get(s, 0.0) + ca * cb * phase
-    return out
+def _monomial_chunks(sq: SecondQuantizedHamiltonian):
+    """X^x Z^z expansion of H's ladder products: the one-body terms, then the
+    two-body terms of one creation mode p at a time, so temporaries stay small."""
+    p, r = np.nonzero(np.abs(sq.one_body) >= _ENTRY_FLOOR)
+    yield _ladder_monomials((p, r), (True, False), sq.one_body[p, r])
+    for p in range(sq.n_spin_orbitals):
+        # coefficient of a+_p a+_r a_s a_t, indexed [r, s, t]
+        block = 0.25 * sq.two_body[p].transpose(0, 2, 1)
+        r, s, t = np.nonzero(np.abs(block) >= _ENTRY_FLOOR)
+        modes = (np.full(len(r), p), r, s, t)
+        yield _ladder_monomials(modes, (True, True, False, False), block[r, s, t])
 
 
 def jordan_wigner(sq: SecondQuantizedHamiltonian) -> PauliSum:
-    """Map the second-quantized Hamiltonian to a real-coefficient PauliSum."""
+    """Map the second-quantized Hamiltonian to a real-coefficient PauliSum.
+
+    Ladder products are built in binary symplectic form over whole coefficient
+    arrays; each chunk's monomials are merged into the running sum by key.
+    """
     q = sq.n_spin_orbitals
-    acc: dict[PauliString, complex] = {PauliString.identity(q): sq.constant}
+    keys = np.zeros(1, dtype=np.int64)  # X^0 Z^0 = identity
+    values = np.array([sq.constant], dtype=complex)
+    for x, z, c in _monomial_chunks(sq):
+        keys, inverse = np.unique(np.concatenate([keys, (x << q) | z]), return_inverse=True)
+        merged = np.concatenate([values, c])
+        values = np.bincount(inverse, merged.real) + 1j * np.bincount(inverse, merged.imag)
 
-    ladders_dag = [_jw_ladder(q, m, True) for m in range(q)]
-    ladders = [_jw_ladder(q, m, False) for m in range(q)]
-
-    for p in range(q):
-        for r in range(q):
-            coeff = sq.one_body[p, r]
-            if abs(coeff) < 1e-15:
-                continue
-            for s, c in _multiply_sums(ladders_dag[p], ladders[r]).items():
-                acc[s] = acc.get(s, 0.0) + coeff * c
-
-    for p in range(q):
-        for r in range(q):
-            pair_pr = _multiply_sums(ladders_dag[p], ladders_dag[r])
-            for s_, t in ((s_, t) for s_ in range(q) for t in range(q)):
-                coeff = 0.25 * sq.two_body[p, r, t, s_]
-                if abs(coeff) < 1e-15:
-                    continue
-                prod = _multiply_sums(pair_pr, _multiply_sums(ladders[s_], ladders[t]))
-                for s, c in prod.items():
-                    acc[s] = acc.get(s, 0.0) + coeff * c
-
-    terms: dict[PauliString, float] = {}
-    for s, c in acc.items():
-        if abs(c.imag) > 1e-9:
-            raise ValueError(f"non-Hermitian JW coefficient {c} for {s.label()}")
-        terms[s] = c.real
-    return PauliSum.from_terms(terms, q)
+    x, z = keys >> q, keys & ((1 << q) - 1)
+    coeffs = values * mask_phases(x, z)
+    bad = np.flatnonzero(np.abs(coeffs.imag) > 1e-9)
+    if len(bad):
+        (string,) = strings_from_masks(x[bad[:1]], z[bad[:1]], q)
+        raise ValueError(f"non-Hermitian JW coefficient {coeffs[bad[0]]} for {string.label()}")
+    # strings only for the terms that PauliSum.from_terms keeps
+    keep = np.abs(coeffs.real) >= COEFF_FLOOR
+    strings = strings_from_masks(x[keep], z[keep], q)
+    return PauliSum.from_terms(dict(zip(strings, coeffs.real[keep].tolist())), q)
 
 
 def model_pauli(model: ModelHamiltonian) -> PauliSum:

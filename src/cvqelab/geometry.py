@@ -72,13 +72,6 @@ class Geometry:
     def charges(self) -> np.ndarray:
         return np.array([a.charge for a in self.atoms], dtype=float)
 
-    def to_xyz(self) -> str:
-        lines = [str(self.n_atoms), self.comment]
-        for a in self.atoms:
-            x, y, z = a.position
-            lines.append(f"{a.element} {x:.12f} {y:.12f} {z:.12f}")
-        return "\n".join(lines) + "\n"
-
 
 def parse_geometry(text: str, label: str = "") -> Geometry:
     """Parse an XYZ-format string (with or without the count/comment header).

@@ -5,6 +5,8 @@ letter in the tuple and the least-significant bit of a Fock index.  PauliSums
 keep real coefficients (Hermitian operators only) in a canonically sorted map
 so iteration order is deterministic.  compile_pauli_action is the one
 Pauli-action kernel: dense builds, rotations and expectations all use it.
+Products are taken in binary symplectic form X^x Z^z over integer mask
+arrays (symplectic_product), the form Jordan-Wigner builds in.
 """
 
 from __future__ import annotations
@@ -18,21 +20,13 @@ DENSE_QUBIT_CAP = 14
 
 _LETTERS = ("I", "X", "Y", "Z")
 
-# single-qubit product table: (a, b) -> (phase, c) with sigma_a sigma_b = phase * sigma_c
-_PRODUCT = {}
-for _a in _LETTERS:
-    _PRODUCT[("I", _a)] = (1.0, _a)
-    _PRODUCT[(_a, "I")] = (1.0, _a)
-    _PRODUCT[(_a, _a)] = (1.0, "I")
-_PRODUCT[("X", "Y")] = (1j, "Z")
-_PRODUCT[("Y", "X")] = (-1j, "Z")
-_PRODUCT[("Y", "Z")] = (1j, "X")
-_PRODUCT[("Z", "Y")] = (-1j, "X")
-_PRODUCT[("Z", "X")] = (1j, "Y")
-_PRODUCT[("X", "Z")] = (-1j, "Y")
-
-# i^k for k = 0..3: the phase table of the Pauli-action kernel
+# i^k for k = 0..3
 _I_POWERS = np.array([1, 1j, -1, -1j])
+
+# letter of one qubit of X^x Z^z, indexed by x_bit + 2 * z_bit (up to phase)
+_MASK_LETTERS = ("I", "X", "Z", "Y")
+
+_BYTE_POPCOUNT = np.array([bin(b).count("1") for b in range(256)])
 
 
 class ResourceLimitError(RuntimeError):
@@ -77,16 +71,16 @@ class PauliString:
     def label(self) -> str:
         return "".join(self.ops)
 
-    def __mul__(self, other: "PauliString") -> tuple[complex, "PauliString"]:
-        if len(self.ops) != len(other.ops):
-            raise ValueError("qubit count mismatch")
-        phase = 1.0 + 0.0j
-        out = []
-        for a, b in zip(self.ops, other.ops):
-            ph, c = _PRODUCT[(a, b)]
-            phase *= ph
-            out.append(c)
-        return phase, PauliString(tuple(out))
+    def masks(self) -> tuple[int, int]:
+        """Binary symplectic form (x_mask, z_mask): the string is
+        i^{popcount(x & z)} X^x Z^z, since Y = iXZ on each qubit."""
+        x_mask = z_mask = 0
+        for q, op in enumerate(self.ops):
+            if op in ("X", "Y"):
+                x_mask |= 1 << q
+            if op in ("Y", "Z"):
+                z_mask |= 1 << q
+        return x_mask, z_mask
 
 
 @dataclass(frozen=True)
@@ -153,19 +147,43 @@ def prune(h: PauliSum, threshold: float, drop_diagonal: bool = False) -> PauliSu
     return PauliSum.from_terms(kept, h.n_qubits)
 
 
+def _popcount(masks: np.ndarray) -> np.ndarray:
+    """Number of set bits of each nonnegative integer, by byte lookup
+    (np.bitwise_count needs numpy >= 2.0)."""
+    masks = np.asarray(masks)
+    count = np.zeros(masks.shape, dtype=np.int64)
+    while masks.any():
+        count += _BYTE_POPCOUNT[masks & 0xFF]
+        masks = masks >> 8
+    return count
+
+
+def symplectic_product(x1, z1, x2, z2):
+    """(X^x1 Z^z1)(X^x2 Z^z2) = sign * X^(x1 ^ x2) Z^(z1 ^ z2), elementwise over
+    integer mask arrays; moving Z^z1 past X^x2 gives sign (-1)^popcount(z1 & x2)."""
+    return x1 ^ x2, z1 ^ z2, 1 - 2 * (_popcount(z1 & x2) & 1)
+
+
+def mask_phases(x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Phase with X^x Z^z = phase * string: XZ = -iY, so (-i)^popcount(x & z)."""
+    return _I_POWERS[-_popcount(x & z) & 3]
+
+
+def strings_from_masks(x: np.ndarray, z: np.ndarray, n_qubits: int) -> list[PauliString]:
+    """The Pauli string of each X^x Z^z (up to mask_phases)."""
+    qubits = np.arange(n_qubits)
+    bits = ((x[:, None] >> qubits) & 1) + 2 * ((z[:, None] >> qubits) & 1)
+    return [PauliString(tuple(map(_MASK_LETTERS.__getitem__, row))) for row in bits.tolist()]
+
+
 def compile_pauli_action(string: PauliString) -> tuple[np.ndarray, np.ndarray]:
     """Gather index and phase arrays so (P psi)[m] = phase[m] * psi[source[m]].
 
     Binary symplectic form: P flips the X/Y qubits (x_mask) and contributes
     i^{n_Y} (-1)^{parity(source & z_mask)} from its Y/Z qubits (z_mask).
     """
-    x_mask = z_mask = n_y = 0
-    for q, op in enumerate(string.ops):
-        if op in ("X", "Y"):
-            x_mask |= 1 << q
-        if op in ("Y", "Z"):
-            z_mask |= 1 << q
-        n_y += op == "Y"
+    x_mask, z_mask = string.masks()
+    n_y = bin(x_mask & z_mask).count("1")
     source = np.arange(1 << string.n_qubits) ^ x_mask
     parity = source & z_mask
     shift = 1

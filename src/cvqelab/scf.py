@@ -89,12 +89,6 @@ class ModelHamiltonian:
     omega0: float         # lowest sector-preserving excitation energy, Hartree
 
 
-def _coulomb_exchange(eri: np.ndarray, density: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    j = np.einsum("pqrs,rs->pq", eri, density)
-    k = np.einsum("prqs,rs->pq", eri, density)
-    return j, k
-
-
 def _candidate_patterns(n_mo: int, n_docc: int, n_socc: int, window: int):
     """Frontier occupation patterns: (docc indices, socc indices) tuples."""
     n_occ = n_docc + n_socc
@@ -119,12 +113,15 @@ def run_scf(integrals: IntegralSet, n_alpha: int, n_beta: int) -> SCFResult:
     if n_alpha < 1:
         raise ValueError("at least one electron required")
     n_docc, n_socc = n_beta, n_alpha - n_beta
+    # the same for every pattern: orthogonalizer for the DIIS error, core guess
+    x = scipy.linalg.fractional_matrix_power(integrals.overlap, -0.5).real
+    _, c0 = scipy.linalg.eigh(integrals.core, integrals.overlap)
 
     best: tuple[float, SCFResult] | None = None
     last_error: ConvergenceError | None = None
     for docc, socc in _candidate_patterns(integrals.n_ao, n_docc, n_socc, OCCUPATION_WINDOW):
         try:
-            result = _converge_pattern(integrals, n_alpha, n_beta, docc, socc)
+            result = _converge_pattern(integrals, n_alpha, n_beta, docc, socc, x, c0)
         except ConvergenceError as err:
             last_error = err
             continue
@@ -141,13 +138,13 @@ def _converge_pattern(
     n_beta: int,
     docc_seed: tuple[int, ...],
     socc_seed: tuple[int, ...],
+    x: np.ndarray,
+    c0: np.ndarray,
 ) -> SCFResult:
     s, h, eri = integrals.overlap, integrals.core, integrals.eri
     n_ao = integrals.n_ao
     n_docc, n_socc = n_beta, n_alpha - n_beta
-    x = scipy.linalg.fractional_matrix_power(s, -0.5).real
 
-    _, c0 = scipy.linalg.eigh(h, s)
     docc_c = c0[:, list(docc_seed)]
     socc_c = c0[:, list(socc_seed)]
     virt_c = c0[:, [i for i in range(n_ao) if i not in docc_seed and i not in socc_seed]]
@@ -156,14 +153,15 @@ def _converge_pattern(
     delta = np.inf
     focks: list[np.ndarray] = []
     errors: list[np.ndarray] = []
+    overlaps = np.zeros((0, 0))  # DIIS B block: overlaps[i, j] = sum(errors[i] * errors[j])
     for iteration in range(1, MAX_ITERATIONS + 1):
         c_occ_a = np.hstack([docc_c, socc_c]) if n_socc else docc_c
         d_a = c_occ_a @ c_occ_a.T
         d_b = docc_c @ docc_c.T if n_docc else np.zeros_like(s)
         d_t = d_a + d_b
-        j_t, _ = _coulomb_exchange(eri, d_t)
-        _, k_a = _coulomb_exchange(eri, d_a)
-        _, k_b = _coulomb_exchange(eri, d_b)
+        j_t = np.einsum("pqrs,rs->pq", eri, d_t)
+        k_a = np.einsum("prqs,rs->pq", eri, d_a)
+        k_b = np.einsum("prqs,rs->pq", eri, d_b)
         f_a = h + j_t - k_a
         f_b = h + j_t - k_b
         new_energy = 0.5 * (
@@ -184,12 +182,17 @@ def _converge_pattern(
 
         focks.append(f_eff)
         errors.append(error)
+        grown = np.empty((len(errors), len(errors)))
+        grown[:-1, :-1] = overlaps
+        grown[-1] = grown[:, -1] = [np.sum(e * error) for e in errors]
+        overlaps = grown
         if len(focks) > DIIS_SIZE:
             focks.pop(0)
             errors.pop(0)
+            overlaps = overlaps[1:, 1:]
         f_use = f_eff
         if len(focks) > 1:
-            f_use = _diis_extrapolate(focks, errors)
+            f_use = _diis_extrapolate(focks, overlaps)
 
         eps_new, c_new = scipy.linalg.eigh(f_use, s)
         docc_c, socc_c, virt_c = _assign_by_overlap(
@@ -249,13 +252,11 @@ def _roothaan_fock(
     return sc @ f_mo @ sc.T
 
 
-def _diis_extrapolate(focks: list[np.ndarray], errors: list[np.ndarray]) -> np.ndarray:
+def _diis_extrapolate(focks: list[np.ndarray], overlaps: np.ndarray) -> np.ndarray:
     n = len(focks)
     b = -np.ones((n + 1, n + 1))
     b[n, n] = 0.0
-    for i in range(n):
-        for j in range(n):
-            b[i, j] = np.sum(errors[i] * errors[j])
+    b[:n, :n] = overlaps
     rhs = np.zeros(n + 1)
     rhs[n] = -1.0
     try:

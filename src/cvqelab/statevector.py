@@ -32,7 +32,6 @@ class StateVector:
 class SampleCounts:
     counts: dict[int, int]
     shots: int
-    seed: int
 
     def __post_init__(self):
         if sum(self.counts.values()) != self.shots:
@@ -125,7 +124,7 @@ def sample_distribution(dist: Distribution, shots: int, seed: int) -> SampleCoun
     rng = rng_from_seed(seed)
     draws = rng.multinomial(shots, p)
     counts = {int(n): int(c) for n, c in zip(indices, draws) if c > 0}
-    return SampleCounts(counts=counts, shots=shots, seed=seed)
+    return SampleCounts(counts=counts, shots=shots)
 
 
 def mix_noise(dist: Distribution, lam: float, n_qubits: int) -> Distribution:

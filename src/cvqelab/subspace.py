@@ -12,7 +12,7 @@ restricted to the sampled rows/columns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +31,6 @@ class EmptySubspaceError(ValueError):
 @dataclass(frozen=True)
 class OutcomeSet:
     members: tuple[int, ...]          # ascending Fock indices
-    threshold: int
 
     def __post_init__(self):
         if list(self.members) != sorted(set(self.members)):
@@ -65,7 +64,7 @@ def collect_outcomes(counts: SampleCounts, threshold: int = 1) -> OutcomeSet:
             f"no outcome reaches the count threshold {floor} "
             f"(max observed count {max(counts.counts.values(), default=0)})"
         )
-    return OutcomeSet(members=members, threshold=floor)
+    return OutcomeSet(members=members)
 
 
 def restrict_to_sector(outcomes: OutcomeSet, n_alpha: int, n_beta: int) -> OutcomeSet:
@@ -85,7 +84,7 @@ def restrict_to_sector(outcomes: OutcomeSet, n_alpha: int, n_beta: int) -> Outco
             f"none of the {len(outcomes)} outcomes lies in the "
             f"(n_alpha, n_beta) = ({n_alpha}, {n_beta}) sector"
         )
-    return replace(outcomes, members=members)
+    return OutcomeSet(members=members)
 
 
 def _occupied(n: int, q: int) -> list[int]:

@@ -1,12 +1,19 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
+from cvqelab import scf as scf_module
 from cvqelab.fci import enumerate_sector, ground_distribution, solve_fci
-from cvqelab.fermion import jordan_wigner, model_pauli, second_quantize
+from cvqelab.fermion import (
+    SecondQuantizedHamiltonian,
+    jordan_wigner,
+    model_pauli,
+    second_quantize,
+)
 from cvqelab.geometry import load_geometry, parse_geometry
 from cvqelab.integrals import compute_integrals
 from cvqelab.pauli import PauliString, PauliSum, compile_pauli_action
-from cvqelab.scf import model_hamiltonian, run_scf, transform_to_mo
+from cvqelab.scf import ConvergenceError, SCFResult, model_hamiltonian, run_scf, transform_to_mo
 from cvqelab.statevector import StateVector, rotate_amplitudes
 
 TABLE_STATES = (7, 13, 19, 22, 25, 28, 37, 49, 52, 193, 196, 208)
@@ -79,6 +86,195 @@ def ordered_terms(h: PauliSum, order: str) -> list[tuple[PauliString, float]]:
     else:
         raise ValueError(f"unknown term order {order!r}")
     return items
+
+
+# single-qubit products: (a, b) -> (phase, c) with sigma_a sigma_b = phase * sigma_c
+LETTER_PRODUCTS = {}
+for _a in "IXYZ":
+    LETTER_PRODUCTS[("I", _a)] = (1.0, _a)
+    LETTER_PRODUCTS[(_a, "I")] = (1.0, _a)
+    LETTER_PRODUCTS[(_a, _a)] = (1.0, "I")
+LETTER_PRODUCTS[("X", "Y")] = (1j, "Z")
+LETTER_PRODUCTS[("Y", "X")] = (-1j, "Z")
+LETTER_PRODUCTS[("Y", "Z")] = (1j, "X")
+LETTER_PRODUCTS[("Z", "Y")] = (-1j, "X")
+LETTER_PRODUCTS[("Z", "X")] = (1j, "Y")
+LETTER_PRODUCTS[("X", "Z")] = (-1j, "Y")
+
+
+def string_product(a: PauliString, b: PauliString) -> tuple[complex, PauliString]:
+    """a b = phase * c, letter by letter."""
+    phase = 1.0 + 0.0j
+    out = []
+    for x, y in zip(a.ops, b.ops):
+        ph, c = LETTER_PRODUCTS[(x, y)]
+        phase *= ph
+        out.append(c)
+    return phase, PauliString(tuple(out))
+
+
+def _jw_ladder(q_tot: int, mode: int, dagger: bool) -> dict[PauliString, complex]:
+    """a_mode or a+_mode as a two-string Pauli sum with the Z parity tail."""
+    ops_x = ["Z"] * mode + ["X"] + ["I"] * (q_tot - mode - 1)
+    ops_y = ["Z"] * mode + ["Y"] + ["I"] * (q_tot - mode - 1)
+    sign = -1j if dagger else 1j
+    return {
+        PauliString(tuple(ops_x)): 0.5,
+        PauliString(tuple(ops_y)): 0.5 * sign,
+    }
+
+
+def _multiply_sums(
+    a: dict[PauliString, complex], b: dict[PauliString, complex]
+) -> dict[PauliString, complex]:
+    out: dict[PauliString, complex] = {}
+    for sa, ca in a.items():
+        for sb, cb in b.items():
+            phase, s = string_product(sa, sb)
+            out[s] = out.get(s, 0.0) + ca * cb * phase
+    return out
+
+
+def reference_jordan_wigner(sq: SecondQuantizedHamiltonian) -> PauliSum:
+    """Jordan-Wigner one ladder-operator product at a time, letter by letter:
+    the reference that fermion.jordan_wigner is tested against."""
+    q = sq.n_spin_orbitals
+    acc: dict[PauliString, complex] = {PauliString.identity(q): sq.constant}
+
+    ladders_dag = [_jw_ladder(q, m, True) for m in range(q)]
+    ladders = [_jw_ladder(q, m, False) for m in range(q)]
+
+    for p in range(q):
+        for r in range(q):
+            coeff = sq.one_body[p, r]
+            if abs(coeff) < 1e-15:
+                continue
+            for s, c in _multiply_sums(ladders_dag[p], ladders[r]).items():
+                acc[s] = acc.get(s, 0.0) + coeff * c
+
+    for p in range(q):
+        for r in range(q):
+            pair_pr = _multiply_sums(ladders_dag[p], ladders_dag[r])
+            for s_, t in ((s_, t) for s_ in range(q) for t in range(q)):
+                coeff = 0.25 * sq.two_body[p, r, t, s_]
+                if abs(coeff) < 1e-15:
+                    continue
+                prod = _multiply_sums(pair_pr, _multiply_sums(ladders[s_], ladders[t]))
+                for s, c in prod.items():
+                    acc[s] = acc.get(s, 0.0) + coeff * c
+
+    terms: dict[PauliString, float] = {}
+    for s, c in acc.items():
+        if abs(c.imag) > 1e-9:
+            raise ValueError(f"non-Hermitian JW coefficient {c} for {s.label()}")
+        terms[s] = c.real
+    return PauliSum.from_terms(terms, q)
+
+
+def reference_run_scf(integrals, n_alpha: int, n_beta: int) -> SCFResult:
+    """scf.run_scf with every pattern paying for its own orthogonalizer and
+    core guess, and the whole DIIS B matrix rebuilt each iteration: the
+    reference that run_scf is tested against for bit-identical output."""
+    n_docc, n_socc = n_beta, n_alpha - n_beta
+    best = None
+    last_error = None
+    patterns = scf_module._candidate_patterns(
+        integrals.n_ao, n_docc, n_socc, scf_module.OCCUPATION_WINDOW
+    )
+    for docc, socc in patterns:
+        try:
+            result = _reference_converge_pattern(integrals, n_alpha, n_beta, docc, socc)
+        except ConvergenceError as err:
+            last_error = err
+            continue
+        if best is None or result.e_hf < best[0] - 1e-12:
+            best = (result.e_hf, result)
+    if best is None:
+        raise last_error if last_error is not None else ConvergenceError(0, np.inf)
+    return best[1]
+
+
+def _reference_coulomb_exchange(eri, density):
+    j = np.einsum("pqrs,rs->pq", eri, density)
+    k = np.einsum("prqs,rs->pq", eri, density)
+    return j, k
+
+
+def _reference_converge_pattern(integrals, n_alpha, n_beta, docc_seed, socc_seed):
+    s, h, eri = integrals.overlap, integrals.core, integrals.eri
+    n_ao = integrals.n_ao
+    n_docc, n_socc = n_beta, n_alpha - n_beta
+    x = scipy.linalg.fractional_matrix_power(s, -0.5).real
+
+    _, c0 = scipy.linalg.eigh(h, s)
+    docc_c = c0[:, list(docc_seed)]
+    socc_c = c0[:, list(socc_seed)]
+    virt_c = c0[:, [i for i in range(n_ao) if i not in docc_seed and i not in socc_seed]]
+
+    energy = 0.0
+    delta = np.inf
+    focks = []
+    errors = []
+    for iteration in range(1, scf_module.MAX_ITERATIONS + 1):
+        c_occ_a = np.hstack([docc_c, socc_c]) if n_socc else docc_c
+        d_a = c_occ_a @ c_occ_a.T
+        d_b = docc_c @ docc_c.T if n_docc else np.zeros_like(s)
+        d_t = d_a + d_b
+        j_t, _ = _reference_coulomb_exchange(eri, d_t)
+        _, k_a = _reference_coulomb_exchange(eri, d_a)
+        _, k_b = _reference_coulomb_exchange(eri, d_b)
+        f_a = h + j_t - k_a
+        f_b = h + j_t - k_b
+        new_energy = 0.5 * (
+            np.sum(d_t * h) + np.sum(d_a * f_a) + np.sum(d_b * f_b)
+        ) + integrals.e_nuc
+
+        c_all = np.hstack([docc_c, socc_c, virt_c])
+        f_eff = scf_module._roothaan_fock(f_a, f_b, c_all, s, n_docc, n_socc)
+        error = x.T @ (f_eff @ d_t @ s - s @ d_t @ f_eff) @ x
+        comm_norm = float(np.linalg.norm(error))
+        delta = abs(new_energy - energy)
+        energy = new_energy
+        if (
+            iteration > 1
+            and delta < scf_module.ENERGY_TOL
+            and comm_norm < scf_module.COMMUTATOR_TOL
+        ):
+            return scf_module._finalize(
+                integrals, f_a, f_b, docc_c, socc_c, virt_c,
+                float(energy), n_alpha, n_beta, iteration,
+            )
+
+        focks.append(f_eff)
+        errors.append(error)
+        if len(focks) > scf_module.DIIS_SIZE:
+            focks.pop(0)
+            errors.pop(0)
+        f_use = f_eff
+        if len(focks) > 1:
+            f_use = _reference_diis_extrapolate(focks, errors)
+
+        eps_new, c_new = scipy.linalg.eigh(f_use, s)
+        docc_c, socc_c, virt_c = scf_module._assign_by_overlap(
+            c_new, eps_new, s, docc_c, socc_c, n_docc, n_socc
+        )
+    raise ConvergenceError(scf_module.MAX_ITERATIONS, delta)
+
+
+def _reference_diis_extrapolate(focks, errors):
+    n = len(focks)
+    b = -np.ones((n + 1, n + 1))
+    b[n, n] = 0.0
+    for i in range(n):
+        for j in range(n):
+            b[i, j] = np.sum(errors[i] * errors[j])
+    rhs = np.zeros(n + 1)
+    rhs[n] = -1.0
+    try:
+        weights = np.linalg.solve(b, rhs)[:n]
+    except np.linalg.LinAlgError:
+        return focks[-1]
+    return sum(w * f for w, f in zip(weights, focks))
 
 
 class WellSystem:

@@ -319,7 +319,7 @@ def test_criterion_9b_monotonicity_and_interlacing(system):
         for size in (2, 5, 9, 14, 20, 24):
             members = tuple(sorted(sector[:size]))
             opt = optimize(
-                build_subspace(OutcomeSet(members=members, threshold=1), system.sq)
+                build_subspace(OutcomeSet(members=members), system.sq)
             )
             ok = ok and opt.energy <= previous + 1e-12
             ok = ok and opt.energy >= system.fci_energy - 1e-10

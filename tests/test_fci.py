@@ -51,7 +51,7 @@ def test_sector_spectrum_matches_jw_dense(well):
     from cvqelab.subspace import OutcomeSet, build_subspace
 
     sc_spectrum = np.linalg.eigvalsh(
-        build_subspace(OutcomeSet(members=sector, threshold=0), well.sq).matrix
+        build_subspace(OutcomeSet(members=sector), well.sq).matrix
     )
     assert np.max(np.abs(jw_spectrum - sc_spectrum)) < 1e-9
 
@@ -111,10 +111,10 @@ def test_degenerate_sz_sector_identical_spectrum(well):
     up = enumerate_sector(8, 2, 1).determinants
     down = enumerate_sector(8, 1, 2).determinants
     spec_up = np.linalg.eigvalsh(
-        build_subspace(OutcomeSet(members=up, threshold=0), well.sq).matrix
+        build_subspace(OutcomeSet(members=up), well.sq).matrix
     )
     spec_down = np.linalg.eigvalsh(
-        build_subspace(OutcomeSet(members=down, threshold=0), well.sq).matrix
+        build_subspace(OutcomeSet(members=down), well.sq).matrix
     )
     assert np.max(np.abs(spec_up - spec_down)) < 1e-9
     solution_down = solve_fci(enumerate_sector(8, 1, 2), well.sq)

@@ -70,12 +70,6 @@ def test_geometry_invariants():
         parse_geometry("H 0 0 nan")
 
 
-def test_xyz_round_trip():
-    geom = load_geometry("well")
-    again = parse_geometry(geom.to_xyz())
-    assert np.allclose(again.positions_angstrom(), geom.positions_angstrom(), atol=1e-12)
-
-
 def test_nuclear_repulsion_h2_oracle():
     # oracle: 1/r for one unit-charge pair, r converted to bohr
     r_angstrom = 2 * 0.370880024809

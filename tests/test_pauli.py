@@ -9,7 +9,10 @@ from cvqelab.pauli import (
     ResourceLimitError,
     compile_pauli_action,
     interpolate,
+    mask_phases,
     prune,
+    strings_from_masks,
+    symplectic_product,
     to_dense,
 )
 
@@ -25,12 +28,21 @@ def random_sum(rng, n_qubits, n_terms) -> PauliSum:
 
 
 def test_string_products_match_matrix_oracle():
+    """Masks, symplectic product and phase bookkeeping against Kronecker matrices."""
     rng = np.random.default_rng(0)
     for _ in range(50):
         a = PauliString(tuple(rng.choice(("I", "X", "Y", "Z"), size=3)))
         b = PauliString(tuple(rng.choice(("I", "X", "Y", "Z"), size=3)))
-        phase, c = a * b
+        (xa, za), (xb, zb) = a.masks(), b.masks()
+        x, z, sign = symplectic_product(
+            np.array([xa]), np.array([za]), np.array([xb]), np.array([zb])
+        )
+        (c,) = strings_from_masks(x, z, 3)
+        # a = i^popcount(xa & za) X^xa Z^za, since Y = iXZ; likewise b
+        phase = 1j ** (bin(xa & za).count("1") + bin(xb & zb).count("1"))
+        phase *= sign[0] * mask_phases(x, z)[0]
         assert np.allclose(phase * kron_oracle(c), kron_oracle(a) @ kron_oracle(b))
+        assert strings_from_masks(np.array([xa]), np.array([za]), 3) == [a]
 
 
 def test_single_qubit_dense():

@@ -16,6 +16,8 @@ from cvqelab.scf import (
     transform_to_mo,
 )
 
+from conftest import random_cluster, reference_run_scf
+
 
 def rohf_energy_expression(mo: MOIntegrals, n_alpha: int, n_beta: int) -> float:
     """Independent HF energy re-evaluation from MO integrals (oracle)."""
@@ -97,6 +99,19 @@ def test_reactant_finds_fragment_ground():
     # fragments 7.5+ Angstrom apart: interaction is tiny but attractive
     assert scf.e_hf < e_h2 + e_h2p + 1e-8
     assert scf.e_hf == pytest.approx(e_h2 + e_h2p, abs=2e-4)
+
+
+def test_scf_bit_identical_to_per_pattern_reference(well):
+    """Work shared across patterns and the incremental DIIS matrix change no bit."""
+    cases = [well.integrals, compute_integrals(load_geometry("product"))]
+    rng = np.random.default_rng(1618)
+    cases += [compute_integrals(parse_geometry(random_cluster(rng, 4))) for _ in range(4)]
+    for integrals in cases:
+        got, ref = run_scf(integrals, 2, 1), reference_run_scf(integrals, 2, 1)
+        assert got.e_hf == ref.e_hf
+        assert np.array_equal(got.mo_coeffs, ref.mo_coeffs)
+        assert np.array_equal(got.orbital_energies, ref.orbital_energies)
+        assert got.iterations == ref.iterations
 
 
 def test_precondition_errors():

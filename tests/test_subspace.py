@@ -22,7 +22,7 @@ TABLE_STATES = (7, 13, 19, 22, 25, 28, 37, 49, 52, 193, 196, 208)
 
 def counts_of(d: dict, shots=None) -> SampleCounts:
     total = sum(d.values())
-    return SampleCounts(counts=d, shots=shots or total, seed=0)
+    return SampleCounts(counts=d, shots=shots or total)
 
 
 def test_collect_outcomes_basics():
@@ -40,14 +40,13 @@ def test_restrict_to_sector():
     outcomes = collect_outcomes(counts_of({7: 5, 11: 5, 13: 5, 15: 5}), 1)
     kept = restrict_to_sector(outcomes, 2, 1)
     assert kept.members == (7, 13)
-    assert kept.threshold == outcomes.threshold
     with pytest.raises(EmptySubspaceError, match=r"\(2, 1\) sector"):
         restrict_to_sector(collect_outcomes(counts_of({11: 5, 15: 5}), 1), 2, 1)
 
 
 def test_outcome_set_ordering_invariant():
     with pytest.raises(ValueError):
-        OutcomeSet(members=(13, 7), threshold=1)
+        OutcomeSet(members=(13, 7))
 
 
 def test_diagonal_is_hf_energy(well):
@@ -75,7 +74,7 @@ def test_sector_zeroing_random_pairs(well):
 
 def test_full_sector_matches_jw_dense(well):
     sector = enumerate_sector(8, 2, 1).determinants
-    outcomes = OutcomeSet(members=sector, threshold=0)
+    outcomes = OutcomeSet(members=sector)
     sub = build_subspace(outcomes, well.sq)
     dense = to_dense(well.h_pauli).real
     block = dense[np.ix_(sector, sector)]
@@ -83,7 +82,7 @@ def test_full_sector_matches_jw_dense(well):
 
 
 def test_singleton_subspace(well):
-    outcomes = OutcomeSet(members=(7,), threshold=1)
+    outcomes = OutcomeSet(members=(7,))
     sub = build_subspace(outcomes, well.sq)
     assert sub.matrix.shape == (1, 1)
     opt = optimize(sub)
@@ -91,7 +90,7 @@ def test_singleton_subspace(well):
 
 
 def test_table_vi_subspace_reaches_ground(well):
-    outcomes = OutcomeSet(members=TABLE_STATES, threshold=1)
+    outcomes = OutcomeSet(members=TABLE_STATES)
     opt = optimize(build_subspace(outcomes, well.sq))
     assert opt.energy == pytest.approx(well.fci.energy, abs=1e-9)
 
@@ -102,7 +101,7 @@ def test_interlacing_bound_random_subsets(well):
     for _ in range(40):
         size = int(rng.integers(1, len(sector) + 1))
         members = tuple(sorted(rng.choice(sector, size=size, replace=False).tolist()))
-        opt = optimize(build_subspace(OutcomeSet(members=members, threshold=1), well.sq))
+        opt = optimize(build_subspace(OutcomeSet(members=members), well.sq))
         assert opt.energy >= well.fci.energy - 1e-10
 
 
@@ -113,14 +112,14 @@ def test_monotone_under_subspace_growth(well):
     previous = np.inf
     for size in (1, 3, 6, 12, 18, 24):
         members = tuple(sorted(sector[:size]))
-        opt = optimize(build_subspace(OutcomeSet(members=members, threshold=1), well.sq))
+        opt = optimize(build_subspace(OutcomeSet(members=members), well.sq))
         assert opt.energy <= previous + 1e-12
         previous = opt.energy
 
 
 def test_optimize_diagonal_example():
     sub = SubspaceHamiltonian(
-        basis=OutcomeSet(members=(1, 2, 3), threshold=1),
+        basis=OutcomeSet(members=(1, 2, 3)),
         matrix=np.diag([2.0, 1.0, 3.0]),
     )
     opt = optimize(sub)
@@ -129,7 +128,7 @@ def test_optimize_diagonal_example():
 
 
 def test_rayleigh_consistency_and_gauge(well):
-    outcomes = OutcomeSet(members=TABLE_STATES, threshold=1)
+    outcomes = OutcomeSet(members=TABLE_STATES)
     sub = build_subspace(outcomes, well.sq)
     opt = optimize(sub)
     rayleigh = float(np.real(opt.theta.conj() @ sub.matrix @ opt.theta))
@@ -141,22 +140,22 @@ def test_rayleigh_consistency_and_gauge(well):
 
 def test_optimize_empty_raises():
     sub = SubspaceHamiltonian(
-        basis=OutcomeSet(members=(), threshold=1), matrix=np.zeros((0, 0))
+        basis=OutcomeSet(members=()), matrix=np.zeros((0, 0))
     )
     with pytest.raises(EmptySubspaceError):
         optimize(sub)
 
 
 def test_embed_examples():
-    single = embed_optimized(np.array([1.0]), OutcomeSet(members=(7,), threshold=1), 8)
+    single = embed_optimized(np.array([1.0]), OutcomeSet(members=(7,)), 8)
     assert single.amplitudes[7] == 1.0
     pair = embed_optimized(
-        np.array([1.0, 1.0]) / np.sqrt(2), OutcomeSet(members=(0, 3), threshold=1), 2
+        np.array([1.0, 1.0]) / np.sqrt(2), OutcomeSet(members=(0, 3)), 2
     )
     assert pair.amplitudes[0] == pytest.approx(1 / np.sqrt(2))
     assert pair.amplitudes[3] == pytest.approx(1 / np.sqrt(2))
     with pytest.raises(ValueError):
-        embed_optimized(np.array([1.0, 1.0]), OutcomeSet(members=(0, 3), threshold=1), 2)
+        embed_optimized(np.array([1.0, 1.0]), OutcomeSet(members=(0, 3)), 2)
 
 
 def test_optimized_state_close_to_ground_distribution(well):
