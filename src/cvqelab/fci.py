@@ -14,10 +14,9 @@ import numpy as np
 
 from .fermion import SecondQuantizedHamiltonian
 from .statevector import Distribution
-from .subspace import OutcomeSet, _annihilate, _create, build_subspace, slater_condon
+from .subspace import OutcomeSet, _annihilate, _create, build_subspace
 
 RESIDUAL_TOL = 1e-9
-COUPLING_FLOOR = 1e-6  # Hartree; model_coupled_gaps ignores weaker couplings
 
 
 @dataclass(frozen=True)
@@ -85,39 +84,6 @@ def ground_distribution(solution: FCISolution) -> Distribution:
         if a**2 > 1e-16
     }
     return Distribution(probs=probs, label="pGndD")
-
-
-def model_coupled_gaps(
-    sq: SecondQuantizedHamiltonian, eps_spin: np.ndarray, phi0: int
-) -> list[tuple[float, float]]:
-    """Diagnostic spectrum of model-gap / coupling pairs.
-
-    The interpolation drive connects the starting determinant only to
-    determinants with a nonzero full-Hamiltonian matrix element (single
-    promotions decouple at a converged mean-field reference up to the SCF
-    residual, hence the floor), so the gap governing adiabaticity in
-    practice belongs to the coupled excitations, not to the bare lowest
-    promotion.  Returns (model gap, |coupling|) for every coupled
-    determinant in the starting sector, sorted by gap.
-    """
-    q = sq.n_spin_orbitals
-    n_alpha = sum(1 for i in range(0, q, 2) if (phi0 >> i) & 1)
-    n_beta = sum(1 for i in range(1, q, 2) if (phi0 >> i) & 1)
-    basis = enumerate_sector(q, n_alpha, n_beta)
-
-    def model_energy(det: int) -> float:
-        return float(sum(eps_spin[p] for p in range(q) if (det >> p) & 1))
-
-    e0 = model_energy(phi0)
-    out = []
-    for det in basis.determinants:
-        if det == phi0:
-            continue
-        coupling = abs(slater_condon(det, phi0, sq))
-        if coupling > COUPLING_FLOOR:
-            out.append((model_energy(det) - e0, coupling))
-    out.sort()
-    return out
 
 
 def _spin_expectations(vector: np.ndarray, basis: SectorBasis) -> tuple[float, float]:

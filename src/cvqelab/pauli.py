@@ -4,7 +4,9 @@ A PauliString is a length-Q tuple over {I, X, Y, Z}; qubit 0 is the leftmost
 letter in the tuple and the least-significant bit of a Fock index.  PauliSums
 keep real coefficients (Hermitian operators only) in a canonically sorted map
 so iteration order is deterministic.  compile_pauli_action is the one
-Pauli-action kernel: dense builds, rotations and expectations all use it.
+Pauli-action kernel: flip-mask groups, rotations and expectations all use it.
+flip_groups sums H's strings by the qubits they flip; to_dense and the
+trapezoidal staircase read their matrix elements from those groups.
 Products are taken in binary symplectic form X^x Z^z over integer mask
 arrays (symplectic_product), the form Jordan-Wigner builds in.
 """
@@ -185,22 +187,34 @@ def compile_pauli_action(string: PauliString) -> tuple[np.ndarray, np.ndarray]:
     x_mask, z_mask = string.masks()
     n_y = bin(x_mask & z_mask).count("1")
     source = np.arange(1 << string.n_qubits) ^ x_mask
-    parity = source & z_mask
-    shift = 1
-    while shift < z_mask.bit_length():  # XOR-fold the masked bits onto bit 0
-        parity ^= parity >> shift
-        shift <<= 1
-    return source, _I_POWERS[(n_y + 2 * (parity & 1)) & 3]
+    return source, _I_POWERS[(n_y + 2 * (_popcount(source & z_mask) & 1)) & 3]
+
+
+def flip_groups(h: PauliSum) -> tuple[np.ndarray, np.ndarray]:
+    """H grouped by flip mask, H = sum_k D_k X^{masks[k]}.
+
+    Returns the distinct x masks of H's strings, ascending and always
+    including 0, and rows with rows[k, m] = <m|H|m ^ masks[k]>.  Each row is
+    summed from zeros in term order, so every matrix element gets the same
+    additions in the same order as a per-string dense build.
+    """
+    if h.n_qubits > DENSE_QUBIT_CAP:
+        raise ResourceLimitError(f"{h.n_qubits} qubits exceeds dense cap {DENSE_QUBIT_CAP}")
+    x_masks = [string.masks()[0] for string in h.terms]
+    masks = np.unique(np.array([0, *x_masks], dtype=np.int64))
+    rows = np.zeros((len(masks), 1 << h.n_qubits), dtype=complex)
+    for (string, coeff), k in zip(h.items(), np.searchsorted(masks, x_masks).tolist()):
+        _source, phase = compile_pauli_action(string)
+        rows[k] += coeff * phase
+    return masks, rows
 
 
 def to_dense(h: PauliSum) -> np.ndarray:
     """Dense 2^Q x 2^Q matrix; qubit 0 is the least-significant basis-index bit."""
-    if h.n_qubits > DENSE_QUBIT_CAP:
-        raise ResourceLimitError(f"{h.n_qubits} qubits exceeds dense cap {DENSE_QUBIT_CAP}")
+    masks, rows = flip_groups(h)
     dim = 1 << h.n_qubits
     out = np.zeros((dim, dim), dtype=complex)
     idx = np.arange(dim)
-    for string, coeff in h.terms.items():
-        source, phase = compile_pauli_action(string)
-        out[idx, source] += coeff * phase
+    for mask, row in zip(masks.tolist(), rows):
+        out[idx, idx ^ mask] = row
     return out

@@ -69,10 +69,6 @@ REGIME_PRESETS = {
     "C": {"K": 1, "hbar_omega": 1.0},
 }
 
-# count thresholds used for the hardware-noise panels, keyed by hbar_omega
-NOISE_THRESHOLD_PRESETS = {1.0: 750, 1/3: 750, 1/5: 1450, 1/10: 5000}
-
-
 @dataclass(frozen=True)
 class RunConfig:
     geometry: str = "well"          # built-in label or XYZ path

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import COEFF_FLOOR, PauliString, PauliSum, compile_pauli_action, to_dense
+from .pauli import COEFF_FLOOR, PauliString, PauliSum, compile_pauli_action, flip_groups
 from .statevector import StateVector, init_fock, rotate_amplitudes
 
 TERM_ORDERS = ("magnitude_desc", "magnitude_asc", "canonical", "canonical_reversed")
@@ -28,8 +28,6 @@ CONDITION_MARGIN = 0.5
 @dataclass(frozen=True)
 class PrepSchedule:
     steps: tuple[tuple[float, float], ...]  # (eta, scale 1/Hartree), application order
-    K: int
-    hbar_omega: float
 
 
 @dataclass(frozen=True)
@@ -68,7 +66,7 @@ def build_schedule(K: int, hbar_omega: float) -> PrepSchedule:
         raise ValueError("hbar_omega must be positive")
     steps = [(k / K, 1.0 / hbar_omega) for k in range(1, K)]
     steps.append((1.0, 0.5 / hbar_omega))
-    return PrepSchedule(steps=tuple(steps), K=K, hbar_omega=hbar_omega)
+    return PrepSchedule(steps=tuple(steps))
 
 
 def prepare_trapezoidal(
@@ -79,23 +77,14 @@ def prepare_trapezoidal(
     Every step propagates inside the Fock indices reachable from phi0 through
     matrix elements of h0 or h at or above COEFF_FLOOR: the (N_alpha, N_beta)
     sector for number- and Sz-conserving inputs, the whole register otherwise.
+    The sector and its blocks are read from the flip-mask groups of h0 and h.
     """
     if h0.n_qubits != h.n_qubits:
         raise ValueError("qubit count mismatch")
     start = init_fock(phi0, h.n_qubits)
-    h0_dense = to_dense(h0)
-    h_dense = to_dense(h)
-    coupled = (np.abs(h0_dense) >= COEFF_FLOOR) | (np.abs(h_dense) >= COEFF_FLOOR)
-    reached = start.amplitudes != 0
-    while True:
-        grown = reached | coupled[:, reached].any(axis=1)
-        if np.array_equal(grown, reached):
-            break
-        reached = grown
-    sector = np.flatnonzero(reached)
-    block = np.ix_(sector, sector)
-    h0_block = h0_dense[block]
-    h_block = h_dense[block]
+    groups = (flip_groups(h0), flip_groups(h))
+    sector = _reachable(start.amplitudes != 0, groups)
+    h0_block, h_block = (_sector_block(masks, rows, sector) for masks, rows in groups)
     amp = start.amplitudes[sector]
     for eta, scale in schedule.steps:
         evals, evecs = np.linalg.eigh((1.0 - eta) * h0_block + eta * h_block)
@@ -103,6 +92,32 @@ def prepare_trapezoidal(
     full = np.zeros_like(start.amplitudes)
     full[sector] = amp
     return StateVector(full, h.n_qubits)
+
+
+def _reachable(reached: np.ndarray, groups) -> np.ndarray:
+    """Ascending Fock indices reached breadth first from the marked ones: m
+    joins when some reached n has |<m|H|n>| >= COEFF_FLOOR in any group set
+    (masks, rows), with m = n ^ mask.  Thresholding the summed element keeps
+    cancellations such as XX + YY between number-changing strings."""
+    frontier = np.flatnonzero(reached)
+    while frontier.size:
+        found = []
+        for masks, rows in groups:
+            targets = masks[:, None] ^ frontier
+            strong = np.abs(np.take_along_axis(rows, targets, axis=1)) >= COEFF_FLOOR
+            found.append(targets[strong])
+        found = np.unique(np.concatenate(found))
+        frontier = found[~reached[found]]
+        reached[frontier] = True
+    return np.flatnonzero(reached)
+
+
+def _sector_block(masks: np.ndarray, rows: np.ndarray, sector: np.ndarray) -> np.ndarray:
+    """<sector[i]|H|sector[j]> from H's flip-mask groups; zero where no
+    string flips sector[i] into sector[j]."""
+    flips = sector[:, None] ^ sector
+    k = np.minimum(np.searchsorted(masks, flips), len(masks) - 1)
+    return np.where(masks[k] == flips, rows[k, sector[:, None]], 0)
 
 
 def _staircase(

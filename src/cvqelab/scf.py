@@ -68,7 +68,6 @@ class SCFResult:
     e_hf: float                   # total HF energy incl. nuclear repulsion, Hartree
     n_alpha: int
     n_beta: int
-    converged: bool
     iterations: int
 
 
@@ -286,7 +285,6 @@ def _finalize(
 
     blocks = []
     eps_blocks = []
-    n_occ = n_docc + n_socc
     for block in (docc_c, socc_c, virt_c):
         if block.shape[1] == 0:
             continue
@@ -308,7 +306,6 @@ def _finalize(
         e_hf=float(energy),
         n_alpha=n_alpha,
         n_beta=n_beta,
-        converged=True,
         iterations=iterations,
     )
 

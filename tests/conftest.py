@@ -6,17 +6,20 @@ from cvqelab import scf as scf_module
 from cvqelab.fci import enumerate_sector, ground_distribution, solve_fci
 from cvqelab.fermion import (
     SecondQuantizedHamiltonian,
+    hf_fock_index,
     jordan_wigner,
     model_pauli,
     second_quantize,
 )
 from cvqelab.geometry import load_geometry, parse_geometry
 from cvqelab.integrals import compute_integrals
-from cvqelab.pauli import PauliString, PauliSum, compile_pauli_action
+from cvqelab.pauli import COEFF_FLOOR, PauliString, PauliSum, compile_pauli_action
 from cvqelab.scf import ConvergenceError, SCFResult, model_hamiltonian, run_scf, transform_to_mo
-from cvqelab.statevector import StateVector, rotate_amplitudes
+from cvqelab.statevector import StateVector, init_fock, rotate_amplitudes
+from cvqelab.subspace import slater_condon
 
 TABLE_STATES = (7, 13, 19, 22, 25, 28, 37, 49, 52, 193, 196, 208)
+COUPLING_FLOOR = 1e-6  # Hartree; model_coupled_gaps ignores weaker couplings
 
 PAULI_MATRICES = {
     "I": np.eye(2, dtype=complex),
@@ -86,6 +89,78 @@ def ordered_terms(h: PauliSum, order: str) -> list[tuple[PauliString, float]]:
     else:
         raise ValueError(f"unknown term order {order!r}")
     return items
+
+
+def reference_to_dense(h: PauliSum) -> np.ndarray:
+    """Dense matrix scattered one string at a time: the reference that
+    pauli.to_dense (built from flip-mask groups) must match byte for byte."""
+    dim = 1 << h.n_qubits
+    out = np.zeros((dim, dim), dtype=complex)
+    idx = np.arange(dim)
+    for string, coeff in h.terms.items():
+        source, phase = compile_pauli_action(string)
+        out[idx, source] += coeff * phase
+    return out
+
+
+def reference_prepare_trapezoidal(h0: PauliSum, h: PauliSum, schedule, phi0: int) -> np.ndarray:
+    """Trapezoidal staircase on the indices reachable from phi0, found by a
+    fixed-point search over the dense 2^Q x 2^Q coupling matrix: the
+    reference that prep.prepare_trapezoidal must match byte for byte."""
+    start = init_fock(phi0, h.n_qubits)
+    h0_dense = reference_to_dense(h0)
+    h_dense = reference_to_dense(h)
+    coupled = (np.abs(h0_dense) >= COEFF_FLOOR) | (np.abs(h_dense) >= COEFF_FLOOR)
+    reached = start.amplitudes != 0
+    while True:
+        grown = reached | coupled[:, reached].any(axis=1)
+        if np.array_equal(grown, reached):
+            break
+        reached = grown
+    sector = np.flatnonzero(reached)
+    block = np.ix_(sector, sector)
+    h0_block = h0_dense[block]
+    h_block = h_dense[block]
+    amp = start.amplitudes[sector]
+    for eta, scale in schedule.steps:
+        evals, evecs = np.linalg.eigh((1.0 - eta) * h0_block + eta * h_block)
+        amp = evecs @ (np.exp(-1j * scale * evals) * (evecs.conj().T @ amp))
+    full = np.zeros_like(start.amplitudes)
+    full[sector] = amp
+    return full
+
+
+def model_coupled_gaps(
+    sq: SecondQuantizedHamiltonian, eps_spin: np.ndarray, phi0: int
+) -> list[tuple[float, float]]:
+    """Diagnostic spectrum of model-gap / coupling pairs.
+
+    The interpolation drive connects the starting determinant only to
+    determinants with a nonzero full-Hamiltonian matrix element (single
+    promotions decouple at a converged mean-field reference up to the SCF
+    residual, hence the floor), so the gap governing adiabaticity in
+    practice belongs to the coupled excitations, not to the bare lowest
+    promotion.  Returns (model gap, |coupling|) for every coupled
+    determinant in the starting sector, sorted by gap.
+    """
+    q = sq.n_spin_orbitals
+    n_alpha = sum(1 for i in range(0, q, 2) if (phi0 >> i) & 1)
+    n_beta = sum(1 for i in range(1, q, 2) if (phi0 >> i) & 1)
+    basis = enumerate_sector(q, n_alpha, n_beta)
+
+    def model_energy(det: int) -> float:
+        return float(sum(eps_spin[p] for p in range(q) if (det >> p) & 1))
+
+    e0 = model_energy(phi0)
+    out = []
+    for det in basis.determinants:
+        if det == phi0:
+            continue
+        coupling = abs(slater_condon(det, phi0, sq))
+        if coupling > COUPLING_FLOOR:
+            out.append((model_energy(det) - e0, coupling))
+    out.sort()
+    return out
 
 
 # single-qubit products: (a, b) -> (phase, c) with sigma_a sigma_b = phase * sigma_c
@@ -305,6 +380,23 @@ def h2_system():
     integrals = compute_integrals(geometry)
     scf = run_scf(integrals, 1, 1)
     return geometry, integrals, scf
+
+
+@pytest.fixture(scope="session")
+def h4_hamiltonians(well):
+    """(h0, h, phi0) of the three built-in geometries and two random H4+
+    clusters, keyed by label."""
+    rng = np.random.default_rng(8)
+    geometries = {label: load_geometry(label) for label in ("reactant", "product")}
+    for i in range(2):
+        geometries[f"cluster{i}"] = parse_geometry(random_cluster(rng, 4))
+    out = {"well": (well.h0_pauli, well.h_pauli, well.phi0)}
+    for label, geometry in geometries.items():
+        integrals = compute_integrals(geometry)
+        scf = run_scf(integrals, 2, 1)
+        h = jordan_wigner(second_quantize(transform_to_mo(integrals, scf)))
+        out[label] = (model_pauli(model_hamiltonian(scf)), h, hf_fock_index(2, 1))
+    return out
 
 
 def random_cluster(rng: np.random.Generator, n_atoms: int) -> str:

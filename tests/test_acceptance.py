@@ -18,7 +18,6 @@ from cvqelab.geometry import parse_geometry
 from cvqelab.integrals import IllConditionedBasisError, compute_integrals
 from cvqelab.pauli import to_dense
 from cvqelab.pipeline import (
-    NOISE_THRESHOLD_PRESETS,
     RunConfig,
     build_system,
     omega_scan,
@@ -34,6 +33,9 @@ from cvqelab.subspace import OutcomeSet, build_subspace, collect_outcomes, optim
 from conftest import TABLE_STATES, random_cluster
 
 pytestmark = pytest.mark.acceptance
+
+# count thresholds used for the hardware-noise panels, keyed by hbar_omega
+NOISE_THRESHOLD_PRESETS = {1.0: 750, 1/3: 750, 1/5: 1450, 1/10: 5000}
 
 
 def verdict(criterion: str, ok: bool, detail: str) -> bool:
@@ -97,7 +99,7 @@ def test_criterion_2_ground_support_and_spin(system):
     "energy (1.23 Ha) of the diagonal orbital-energy model, so no "
     "sector-preserving excitation definition can reach it; the "
     "strongest-coupled double promotions sit at 2.40-2.45 Ha "
-    "(fci.model_coupled_gaps)",
+    "(conftest.model_coupled_gaps)",
     strict=False,
 )
 def test_criterion_3_model_gap(system):

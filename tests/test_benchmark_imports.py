@@ -5,6 +5,8 @@ benchmark run."""
 import importlib
 from pathlib import Path
 
+from cvqelab.fcidump import read_fcidump, write_fcidump
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
@@ -17,3 +19,14 @@ def test_benchmark_modules_import_and_traced_names_exist(monkeypatch):
         mod = importlib.import_module(f"cvqelab.{module}")
         for name in names:
             assert callable(getattr(mod, name, None)), f"cvqelab.{module}.{name}"
+
+
+def test_benchmark_oracles_accept_the_well(monkeypatch, well):
+    """One call of each oracle, so a drift in solve_fci(basis, sq), to_dense(h)
+    or second_quantize(mo) fails here in about a second."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    oracles = importlib.import_module("oracles")
+    e_dense = oracles.dense_sector_energy(well.h_pauli, 2, 1)
+    assert oracles.check_fci(well.fci.energy, e_dense) == []
+    mo_read, _ = read_fcidump(write_fcidump(well.mo, n_elec=3, ms2=1))
+    assert oracles.check_fcidump_roundtrip(mo_read, 2, 1, well.fci.energy) == []

@@ -8,6 +8,8 @@ from cvqelab.integrals import compute_integrals
 from cvqelab.pauli import to_dense
 from cvqelab.scf import run_scf, transform_to_mo
 
+from conftest import model_coupled_gaps
+
 TABLE_STATES = (7, 13, 19, 22, 25, 28, 37, 49, 52, 193, 196, 208)
 
 
@@ -125,8 +127,6 @@ def test_degenerate_sz_sector_identical_spectrum(well):
 
 
 def test_model_coupled_gaps_diagnostic(well):
-    from cvqelab.fci import model_coupled_gaps
-
     pairs = model_coupled_gaps(well.sq, well.model.eps_spin, 7)
     assert pairs == sorted(pairs)
     # a converged mean-field reference decouples single promotions, so the

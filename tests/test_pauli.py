@@ -8,6 +8,7 @@ from cvqelab.pauli import (
     PauliSum,
     ResourceLimitError,
     compile_pauli_action,
+    flip_groups,
     interpolate,
     mask_phases,
     prune,
@@ -16,7 +17,7 @@ from cvqelab.pauli import (
     to_dense,
 )
 
-from conftest import kron_dense, kron_oracle, number_operator, sz_operator
+from conftest import kron_dense, kron_oracle, number_operator, reference_to_dense, sz_operator
 
 
 def random_sum(rng, n_qubits, n_terms) -> PauliSum:
@@ -81,7 +82,7 @@ def per_letter_action(string: PauliString) -> tuple[np.ndarray, np.ndarray]:
 
 
 def test_action_kernel_matches_per_letter_reference():
-    """The parity fold needs more passes past 8 qubits; 12 is the H6 register."""
+    """The byte-lookup parity needs a second pass past 8 qubits; 12 is the H6 register."""
     rng = np.random.default_rng(31)
     for n_qubits in (5, 9, 12):
         for _ in range(20):
@@ -104,6 +105,42 @@ def test_dense_cap():
     h = PauliSum.from_terms({PauliString.identity(15): 1.0}, 15)
     with pytest.raises(ResourceLimitError):
         to_dense(h)
+    with pytest.raises(ResourceLimitError):
+        flip_groups(h)
+
+
+def test_flip_groups_rows_are_matrix_elements(well):
+    xx_yy = PauliSum.from_terms(
+        {PauliString.from_label("XXZ"): 0.5, PauliString.from_label("YYZ"): 0.5}, 3
+    )
+    for h in (well.h_pauli, well.h0_pauli, xx_yy, PauliSum.from_terms({}, 2)):
+        masks, rows = flip_groups(h)
+        assert masks.tolist() == sorted({s.masks()[0] for s in h.terms} | {0})
+        assert rows.shape == (len(masks), 1 << h.n_qubits)
+        dense = kron_dense(h)
+        m = np.arange(1 << h.n_qubits)
+        for mask, row in zip(masks.tolist(), rows):
+            assert np.max(np.abs(row - dense[m, m ^ mask]), initial=0.0) < 1e-14
+
+
+def test_to_dense_bit_identical_to_per_string_reference(h4_hamiltonians):
+    """The flip-mask scatter gives the per-string build's bytes, -0.0 included."""
+    rng = np.random.default_rng(44)
+    cases = [
+        PauliSum.from_terms({}, 3),
+        PauliSum.from_terms({PauliString.identity(5): -0.7}, 5),
+        PauliSum.from_terms(
+            {PauliString.from_label("XXI"): 0.25, PauliString.from_label("YYI"): 0.25,
+             PauliString.from_label("IXY"): -0.5, PauliString.from_label("IYX"): 0.5}, 3
+        ),
+    ]
+    for n_qubits in range(3, 9):
+        cases.append(random_sum(rng, n_qubits, 4 * n_qubits))
+    for label in ("well", "product"):
+        h0, h, _phi0 = h4_hamiltonians[label]
+        cases += [h0, h]
+    for h in cases:
+        assert to_dense(h).tobytes() == reference_to_dense(h).tobytes()
 
 
 def test_interpolate_endpoints_and_linearity():

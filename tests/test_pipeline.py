@@ -1,8 +1,10 @@
 import itertools
 import json
+import sys
 
 import pytest
 
+from cvqelab import pauli
 from cvqelab.cli import main as cli_main
 from cvqelab.pipeline import (
     REGIME_PRESETS,
@@ -10,7 +12,9 @@ from cvqelab.pipeline import (
     build_system,
     compare_distributions,
     emit_report,
+    finish_run,
     omega_scan,
+    prepare_run,
     run_multi_seed,
     run_pipeline,
     sweep_reaction_path,
@@ -54,6 +58,26 @@ def test_determinism_byte_identical(small_config, well_system, tmp_path):
     emit_report(r2, d2)
     for name in sorted(p.name for p in d1.iterdir()):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
+
+def test_run_path_builds_no_dense_matrix(monkeypatch, well_system):
+    """No 2^Q x 2^Q matrix on the run path: to_dense raises in every
+    cvqelab namespace that holds it, and regime C and K = 20 still run."""
+    def refuse(h):
+        raise AssertionError("to_dense called on the run path")
+
+    original, patched = pauli.to_dense, []
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "cvqelab" and getattr(module, "to_dense", None) is original:
+            monkeypatch.setattr(module, "to_dense", refuse)
+            patched.append(name)
+    assert {"cvqelab", "cvqelab.pauli"} <= set(patched)
+    for config in (
+        RunConfig.for_regime("C", shots=20000),
+        RunConfig(geometry="well", K=20, hbar_omega=1.0, shots=20000),
+    ):
+        report = finish_run(prepare_run(config, well_system), seed=1)
+        assert report.e_optimized >= report.e_g - 1e-10
 
 
 def test_seed_changes_sampling(small_config, well_system):

@@ -1,6 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from cvqelab.fermion import hf_fock_index, jordan_wigner, model_pauli, second_quantize
+from cvqelab.geometry import parse_geometry
+from cvqelab.integrals import compute_integrals
 from cvqelab.pauli import PauliString, PauliSum, interpolate, prune, to_dense
 from cvqelab.prep import (
     TERM_ORDERS,
@@ -12,9 +17,19 @@ from cvqelab.prep import (
     prepare_guiding,
     prepare_trapezoidal,
 )
+from cvqelab.scf import model_hamiltonian, run_scf, transform_to_mo
 from cvqelab.statevector import StateVector, expectation, init_fock, probabilities
 
-from conftest import apply_pauli_rotation, ordered_terms
+from conftest import apply_pauli_rotation, ordered_terms, reference_prepare_trapezoidal
+
+# six hydrogens on a line 0.9 Angstrom apart: H6+ doublet, 12 qubits
+H6_CHAIN = """\
+H 0 0 0.0
+H 0 0 0.9
+H 0 0 1.8
+H 0 0 2.7
+H 0 0 3.6
+H 0 0 4.5"""
 
 TROTTER_CASES = ({}, {"prune_threshold": 0.02, "drop_diagonal": True})
 
@@ -138,9 +153,7 @@ def test_trotter_error_quadratic_in_inverse_scale(well):
 
 def test_step_order_is_a_regression_canary(well):
     sched = build_schedule(3, 1.0)
-    reversed_sched = PrepSchedule(
-        steps=tuple(reversed(sched.steps)), K=sched.K, hbar_omega=sched.hbar_omega
-    )
+    reversed_sched = PrepSchedule(steps=tuple(reversed(sched.steps)))
     psi = prepare_trapezoidal(well.h0_pauli, well.h_pauli, sched, 7)
     psi_rev = prepare_trapezoidal(well.h0_pauli, well.h_pauli, reversed_sched, 7)
     assert np.linalg.norm(psi.amplitudes - psi_rev.amplitudes) > 1e-6
@@ -148,9 +161,7 @@ def test_step_order_is_a_regression_canary(well):
 
 def test_reinstating_model_half_step_is_global_phase(well):
     sched = build_schedule(3, 1.5)
-    with_model_half = PrepSchedule(
-        steps=((0.0, 1 / 3.0),) + sched.steps, K=sched.K, hbar_omega=sched.hbar_omega
-    )
+    with_model_half = PrepSchedule(steps=((0.0, 1 / 3.0),) + sched.steps)
     p1 = probabilities(prepare_trapezoidal(well.h0_pauli, well.h_pauli, sched, 7))
     p2 = probabilities(
         prepare_trapezoidal(well.h0_pauli, well.h_pauli, with_model_half, 7)
@@ -281,3 +292,43 @@ def test_staircase_floors_each_interpolated_operand():
     stats = circuit_stats(h, sched, TrotterConfig(), h0=h0)
     got = (stats.term_count_per_step, stats.total_rotations, stats.cnot_estimate, stats.depth_proxy)
     assert got == per_step_circuit_stats(h, sched, TrotterConfig(), h0=h0)
+
+
+def test_trapezoidal_bit_identical_to_dense_reference(h4_hamiltonians):
+    """The flip-mask walk finds the dense fixed point's sector and blocks."""
+    cases = [(label, K, 1.0) for label in h4_hamiltonians for K in (1, 20)]
+    cases.append(("well", 500, 10.0))
+    for label, K, hbar_omega in cases:
+        h0, h, phi0 = h4_hamiltonians[label]
+        schedule = build_schedule(K, hbar_omega)
+        psi = prepare_trapezoidal(h0, h, schedule, phi0)
+        reference = reference_prepare_trapezoidal(h0, h, schedule, phi0)
+        assert psi.amplitudes.tobytes() == reference.tobytes(), (label, K)
+
+
+def test_trapezoidal_rejects_fock_index_outside_register(well):
+    schedule = build_schedule(1, 1.0)
+    for phi0 in (-1, 256):
+        with pytest.raises(ValueError):
+            prepare_trapezoidal(well.h0_pauli, well.h_pauli, schedule, phi0)
+
+
+def test_trapezoidal_h6_chain_memory_guard():
+    """The 12-qubit staircase holds flip-mask rows and 150 x 150 blocks, never
+    a 4096 x 4096 matrix (a dense sector search peaks near 672 MB)."""
+    integrals = compute_integrals(parse_geometry(H6_CHAIN, label="h6_chain"))
+    scf = run_scf(integrals, 3, 2)
+    h = jordan_wigner(second_quantize(transform_to_mo(integrals, scf)))
+    h0 = model_pauli(model_hamiltonian(scf))
+    tracemalloc.start()
+    try:
+        psi = prepare_trapezoidal(h0, h, build_schedule(2, 1.0), hf_fock_index(3, 2))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 << 20
+    support = np.flatnonzero(psi.amplitudes)
+    assert len(support) == 150
+    up = [bin(n & 0x555).count("1") for n in support.tolist()]
+    down = [bin(n & 0xAAA).count("1") for n in support.tolist()]
+    assert set(zip(up, down)) == {(3, 2)}

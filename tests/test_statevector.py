@@ -16,7 +16,7 @@ from cvqelab.statevector import (
     sample_distribution,
 )
 
-from conftest import apply_pauli_rotation, kron_dense, kron_oracle
+from conftest import apply_pauli_rotation, kron_dense, kron_oracle, reference_prepare_trapezoidal
 
 
 def random_state(rng, n_qubits) -> StateVector:
@@ -114,6 +114,8 @@ def test_exact_exponential_taylor_oracle():
         phi0 = int(rng.integers(1 << n_qubits))
         hbar_omega = float(rng.uniform(0.35, 5.0))
         moved = prepare_trapezoidal(h0, h, build_schedule(1, hbar_omega), phi0)
+        reference = reference_prepare_trapezoidal(h0, h, build_schedule(1, hbar_omega), phi0)
+        assert moved.amplitudes.tobytes() == reference.tobytes()
         oracle = taylor_expm_apply(
             -0.5j / hbar_omega * to_dense(h), init_fock(phi0, n_qubits).amplitudes
         )
@@ -205,7 +207,7 @@ def test_mix_noise():
 
 def test_sector_confinement(well):
     """Exponentials of number/Sz-conserving sums keep the HF sector exactly."""
-    schedule = PrepSchedule(steps=((0.2, 0.35), (0.7, 0.35), (1.0, 0.35)), K=3, hbar_omega=1.0)
+    schedule = PrepSchedule(steps=((0.2, 0.35), (0.7, 0.35), (1.0, 0.35)))
     psi = prepare_trapezoidal(well.h0_pauli, well.h_pauli, schedule, 7)
     outside = 0.0
     for n in range(256):
