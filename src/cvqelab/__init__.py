@@ -8,13 +8,7 @@ oracle.
 """
 
 from .constants import CHEMICAL_ACCURACY_EV, EV_PER_HARTREE
-from .fci import (
-    FCISolution,
-    SectorBasis,
-    enumerate_sector,
-    ground_distribution,
-    solve_fci,
-)
+from .fci import SectorBasis, enumerate_sector, solve_fci
 from .fcidump import read_fcidump, write_fcidump
 from .fermion import (
     SecondQuantizedHamiltonian,

@@ -44,11 +44,6 @@ class SecondQuantizedHamiltonian:
     n_spin_orbitals: int
 
 
-def spin_orbital_index(mo_index: int, spin: int) -> int:
-    """Spin-orbital/qubit index for 1-based spatial MO and spin (0 up, 1 down)."""
-    return 2 * (mo_index - 1) + spin
-
-
 def hf_fock_index(n_alpha: int, n_beta: int) -> int:
     """Fock index of the aufbau HF determinant in the interleaved layout."""
     index = 0

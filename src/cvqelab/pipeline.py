@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .constants import EV_PER_HARTREE
-from .fci import enumerate_sector, ground_distribution, solve_fci
+from .fci import SectorBasis, enumerate_sector, solve_fci
 from .fermion import (
     SecondQuantizedHamiltonian,
     hf_fock_index,
@@ -141,8 +141,9 @@ class SystemModel:
     h0_pauli: PauliSum
     omega0: float
     phi0: int
+    sector: SectorBasis       # reference (n_alpha, n_beta) determinants
     fci_energy: float
-    ground: Distribution
+    ground: Distribution      # pGndD
 
 
 def build_mean_field(
@@ -162,7 +163,8 @@ def build_system(config: RunConfig, geometry: Geometry | None = None) -> SystemM
     sq = second_quantize(mo)
     h = jordan_wigner(sq)
     model = model_hamiltonian(scf)
-    fci = solve_fci(enumerate_sector(sq.n_spin_orbitals, n_alpha, n_beta), sq)
+    sector = enumerate_sector(sq.n_spin_orbitals, n_alpha, n_beta)
+    fci = solve_fci(sector, sq)
     return SystemModel(
         geometry=geom,
         scf=scf,
@@ -171,8 +173,11 @@ def build_system(config: RunConfig, geometry: Geometry | None = None) -> SystemM
         h0_pauli=model_pauli(model),
         omega0=model.omega0,
         phi0=hf_fock_index(n_alpha, n_beta),
+        sector=sector,
         fci_energy=fci.energy,
-        ground=ground_distribution(fci),
+        ground=probabilities(
+            embed_optimized(fci.theta, fci.basis, h.n_qubits), label="pGndD"
+        ),
     )
 
 
@@ -226,9 +231,7 @@ def finish_run(prepared: PreparedRun, seed: int) -> StageReport:
     counts = sample_distribution(prepared.sampled_from, config.shots, seed)
     s_gd = counts.empirical_distribution(label="sGD")
     outcomes = restrict_to_sector(
-        collect_outcomes(counts, config.count_threshold),
-        sys_model.scf.n_alpha,
-        sys_model.scf.n_beta,
+        collect_outcomes(counts, config.count_threshold), sys_model.sector
     )
     opt = optimize(build_subspace(outcomes, sys_model.sq))
     psi_opt = embed_optimized(opt.theta, outcomes, n_qubits)

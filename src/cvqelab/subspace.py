@@ -13,15 +13,15 @@ restricted to the sampled rows/columns.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .fermion import SecondQuantizedHamiltonian
 from .statevector import SampleCounts, StateVector, init_fock
 
-# interleaved spin layout: up spin orbitals on even bits, down on odd bits
-_UP_BITS = 0x5555555555555555
-_DOWN_BITS = _UP_BITS << 1
+if TYPE_CHECKING:
+    from .fci import SectorBasis
 
 
 class EmptySubspaceError(ValueError):
@@ -67,22 +67,19 @@ def collect_outcomes(counts: SampleCounts, threshold: int = 1) -> OutcomeSet:
     return OutcomeSet(members=members)
 
 
-def restrict_to_sector(outcomes: OutcomeSet, n_alpha: int, n_beta: int) -> OutcomeSet:
-    """Members with n_alpha up (even-bit) and n_beta down (odd-bit) occupations.
+def restrict_to_sector(outcomes: OutcomeSet, sector: SectorBasis) -> OutcomeSet:
+    """Members that are determinants of the reference sector.
 
     Noise and Trotter leakage put counts on determinants of other particle-
     number and spin sectors; the sector Hamiltonian's ground energy bounds
     E* from below only once those are gone.
     """
-    members = tuple(
-        n for n in outcomes.members
-        if bin(n & _UP_BITS).count("1") == n_alpha
-        and bin(n & _DOWN_BITS).count("1") == n_beta
-    )
+    allowed = set(sector.determinants)
+    members = tuple(n for n in outcomes.members if n in allowed)
     if not members:
         raise EmptySubspaceError(
             f"none of the {len(outcomes)} outcomes lies in the "
-            f"(n_alpha, n_beta) = ({n_alpha}, {n_beta}) sector"
+            f"(n_alpha, n_beta) = ({sector.n_alpha}, {sector.n_beta}) sector"
         )
     return OutcomeSet(members=members)
 

@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 
 from cvqelab import scf as scf_module
-from cvqelab.fci import enumerate_sector, ground_distribution, solve_fci
+from cvqelab.fci import SectorBasis, enumerate_sector, solve_fci
 from cvqelab.fermion import (
     SecondQuantizedHamiltonian,
     hf_fock_index,
@@ -15,8 +15,8 @@ from cvqelab.geometry import load_geometry, parse_geometry
 from cvqelab.integrals import compute_integrals
 from cvqelab.pauli import COEFF_FLOOR, PauliString, PauliSum, compile_pauli_action
 from cvqelab.scf import ConvergenceError, SCFResult, model_hamiltonian, run_scf, transform_to_mo
-from cvqelab.statevector import StateVector, init_fock, rotate_amplitudes
-from cvqelab.subspace import slater_condon
+from cvqelab.statevector import StateVector, init_fock, probabilities, rotate_amplitudes
+from cvqelab.subspace import embed_optimized, slater_condon
 
 TABLE_STATES = (7, 13, 19, 22, 25, 28, 37, 49, 52, 193, 196, 208)
 COUPLING_FLOOR = 1e-6  # Hartree; model_coupled_gaps ignores weaker couplings
@@ -161,6 +161,33 @@ def model_coupled_gaps(
             out.append((model_energy(det) - e0, coupling))
     out.sort()
     return out
+
+
+def _ladder_sign(n: int, p: int) -> int:
+    """Jordan-Wigner sign of a ladder operator on mode p: the parity of the
+    occupied modes below p."""
+    return -1 if bin(n & ((1 << p) - 1)).count("1") & 1 else 1
+
+
+def spin_expectations(theta: np.ndarray, basis: SectorBasis) -> tuple[float, float]:
+    """<S^2> and <Sz> of the state with amplitudes theta over the sector's
+    determinants, via S^2 = S- S+ + Sz(Sz + 1) applied to determinants."""
+    sz = 0.5 * (basis.n_alpha - basis.n_beta)
+    # S+ = sum_i a+_{i up} a_{i down}; image lives in the (na+1, nb-1) sector
+    image: dict[int, complex] = {}
+    for det, coeff in zip(basis.determinants, theta):
+        if coeff == 0.0:
+            continue
+        for i in range(basis.n_qubits // 2):
+            down, up = 2 * i + 1, 2 * i
+            if not (det >> down) & 1 or (det >> up) & 1:
+                continue
+            interm = det ^ (1 << down)
+            sign = _ladder_sign(det, down) * _ladder_sign(interm, up)
+            out = interm | (1 << up)
+            image[out] = image.get(out, 0.0) + complex(coeff) * sign
+    s_minus_s_plus = sum(abs(v) ** 2 for v in image.values())
+    return float(s_minus_s_plus + sz * (sz + 1.0)), float(sz)
 
 
 # single-qubit products: (a, b) -> (phase, c) with sigma_a sigma_b = phase * sigma_c
@@ -365,7 +392,9 @@ class WellSystem:
         self.model = model_hamiltonian(self.scf)
         self.h0_pauli = model_pauli(self.model)
         self.fci = solve_fci(enumerate_sector(8, 2, 1), self.sq)
-        self.ground = ground_distribution(self.fci)
+        self.ground = probabilities(
+            embed_optimized(self.fci.theta, self.fci.basis, 8), label="pGndD"
+        )
         self.phi0 = 7
 
 

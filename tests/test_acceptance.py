@@ -30,7 +30,7 @@ from cvqelab.scf import ConvergenceError, load_hf_energy_table, run_scf, transfo
 from cvqelab.statevector import mix_noise, probabilities, sample, sample_distribution
 from cvqelab.subspace import OutcomeSet, build_subspace, collect_outcomes, optimize
 
-from conftest import TABLE_STATES, random_cluster
+from conftest import TABLE_STATES, random_cluster, spin_expectations
 
 pytestmark = pytest.mark.acceptance
 
@@ -80,16 +80,17 @@ def test_criterion_1_well_total_energy(system):
 
 def test_criterion_2_ground_support_and_spin(system):
     support = sorted(system.ground.support(1e-10))
-    fci = solve_fci(enumerate_sector(8, 2, 1), system.sq)
+    sector = enumerate_sector(8, 2, 1)
+    s2, sz = spin_expectations(solve_fci(sector, system.sq).theta, sector)
     ok = (
         support == sorted(TABLE_STATES)
-        and abs(fci.s_squared - 0.75) <= 1e-8
-        and abs(fci.s_z - 0.5) <= 1e-8
+        and abs(s2 - 0.75) <= 1e-8
+        and abs(sz - 0.5) <= 1e-8
     )
     verdict(
         "2 (12-state support + spin)",
         ok,
-        f"support {support}, <S2>={fci.s_squared:.10f}, <Sz>={fci.s_z:.10f}",
+        f"support {support}, <S2>={s2:.10f}, <Sz>={sz:.10f}",
     )
     assert ok
 

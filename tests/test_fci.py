@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
-from cvqelab.fci import enumerate_sector, ground_distribution, solve_fci
+from cvqelab.fci import enumerate_sector, solve_fci
 from cvqelab.fermion import second_quantize
 from cvqelab.geometry import parse_geometry
 from cvqelab.integrals import compute_integrals
 from cvqelab.pauli import to_dense
 from cvqelab.scf import run_scf, transform_to_mo
+from cvqelab.statevector import probabilities
+from cvqelab.subspace import embed_optimized
 
-from conftest import model_coupled_gaps
+from conftest import model_coupled_gaps, spin_expectations
 
 TABLE_STATES = (7, 13, 19, 22, 25, 28, 37, 49, 52, 193, 196, 208)
 
@@ -32,8 +34,8 @@ def test_enumerate_sector_edges():
 def test_fci_below_hf_and_residual(well):
     assert well.fci.energy <= well.scf.e_hf
     sector = enumerate_sector(8, 2, 1)
-    assert len(well.fci.vector) == len(sector.determinants)
-    assert np.linalg.norm(well.fci.vector) == pytest.approx(1.0, abs=1e-12)
+    assert well.fci.basis.members == sector.determinants
+    assert np.linalg.norm(well.fci.theta) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_one_electron_fci_equals_hf():
@@ -59,7 +61,7 @@ def test_sector_spectrum_matches_jw_dense(well):
 
 
 def test_ground_distribution_support(well):
-    dist = ground_distribution(well.fci)
+    dist = well.ground
     assert sorted(dist.support(1e-10)) == sorted(TABLE_STATES)
     top = max(dist.probs, key=dist.probs.get)
     assert top == 7
@@ -70,13 +72,13 @@ def test_ground_distribution_point_mass():
     scf = run_scf(integrals, 1, 0)
     sq = second_quantize(transform_to_mo(integrals, scf))
     solution = solve_fci(enumerate_sector(2, 1, 0), sq)
-    assert ground_distribution(solution).probs == {1: pytest.approx(1.0)}
+    dist = probabilities(embed_optimized(solution.theta, solution.basis, 2))
+    assert dist.probs == {1: pytest.approx(1.0)}
 
 
 def test_support_symmetry_split(well):
     """9 support states avoid the antisymmetric MO; 3 contain its full pair."""
-    dist = ground_distribution(well.fci)
-    support = sorted(dist.support(1e-10))
+    support = sorted(well.ground.support(1e-10))
     mo4_mask = (1 << 6) | (1 << 7)
     with_pair = [n for n in support if (n & mo4_mask) == mo4_mask]
     without = [n for n in support if (n & mo4_mask) == 0]
@@ -85,25 +87,28 @@ def test_support_symmetry_split(well):
 
 
 def test_spin_expectations(well):
-    assert well.fci.s_squared == pytest.approx(0.75, abs=1e-8)
-    assert well.fci.s_z == pytest.approx(0.5, abs=1e-8)
+    s2, sz = spin_expectations(well.fci.theta, enumerate_sector(8, 2, 1))
+    assert s2 == pytest.approx(0.75, abs=1e-8)
+    assert sz == pytest.approx(0.5, abs=1e-8)
 
 
 def test_spin_single_electron():
     integrals = compute_integrals(parse_geometry("H 0 0 0"))
     scf = run_scf(integrals, 1, 0)
     sq = second_quantize(transform_to_mo(integrals, scf))
-    solution = solve_fci(enumerate_sector(2, 1, 0), sq)
-    assert solution.s_squared == pytest.approx(0.75, abs=1e-12)
-    assert solution.s_z == pytest.approx(0.5, abs=1e-12)
+    sector = enumerate_sector(2, 1, 0)
+    s2, sz = spin_expectations(solve_fci(sector, sq).theta, sector)
+    assert s2 == pytest.approx(0.75, abs=1e-12)
+    assert sz == pytest.approx(0.5, abs=1e-12)
 
 
 def test_spin_closed_shell_singlet(h2_system):
     _, integrals, scf = h2_system
     sq = second_quantize(transform_to_mo(integrals, scf))
-    solution = solve_fci(enumerate_sector(4, 1, 1), sq)
-    assert solution.s_squared == pytest.approx(0.0, abs=1e-10)
-    assert solution.s_z == 0.0
+    sector = enumerate_sector(4, 1, 1)
+    s2, sz = spin_expectations(solve_fci(sector, sq).theta, sector)
+    assert s2 == pytest.approx(0.0, abs=1e-10)
+    assert sz == 0.0
 
 
 def test_degenerate_sz_sector_identical_spectrum(well):
@@ -119,9 +124,10 @@ def test_degenerate_sz_sector_identical_spectrum(well):
         build_subspace(OutcomeSet(members=down), well.sq).matrix
     )
     assert np.max(np.abs(spec_up - spec_down)) < 1e-9
-    solution_down = solve_fci(enumerate_sector(8, 1, 2), well.sq)
+    sector_down = enumerate_sector(8, 1, 2)
+    solution_down = solve_fci(sector_down, well.sq)
     assert solution_down.energy == pytest.approx(well.fci.energy, abs=1e-9)
-    assert solution_down.s_z == pytest.approx(-0.5)
+    assert spin_expectations(solution_down.theta, sector_down)[1] == pytest.approx(-0.5)
     # mirrored HF determinant from the appendix labeling
     assert 11 in enumerate_sector(8, 1, 2).determinants
 

@@ -10,7 +10,6 @@ from cvqelab.fermion import (
     jordan_wigner,
     model_pauli,
     second_quantize,
-    spin_orbital_index,
 )
 from cvqelab.geometry import load_geometry, parse_geometry
 from cvqelab.integrals import compute_integrals
@@ -32,9 +31,6 @@ def random_mo_integrals(rng, n_mo) -> MOIntegrals:
 
 
 def test_spin_orbital_layout():
-    assert spin_orbital_index(1, 0) == 0
-    assert spin_orbital_index(1, 1) == 1
-    assert spin_orbital_index(4, 1) == 7
     assert hf_fock_index(2, 1) == 7
     assert hf_fock_index(1, 1) == 3
     assert hf_fock_index(1, 0) == 1

@@ -4,8 +4,9 @@ import sys
 
 import pytest
 
-from cvqelab import pauli
+from cvqelab import pauli, subspace
 from cvqelab.cli import main as cli_main
+from cvqelab.fci import enumerate_sector
 from cvqelab.pipeline import (
     REGIME_PRESETS,
     RunConfig,
@@ -19,7 +20,8 @@ from cvqelab.pipeline import (
     run_pipeline,
     sweep_reaction_path,
 )
-from cvqelab.statevector import Distribution
+from cvqelab.statevector import Distribution, probabilities
+from cvqelab.subspace import OutcomeSet, build_subspace, embed_optimized, optimize
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +80,37 @@ def test_run_path_builds_no_dense_matrix(monkeypatch, well_system):
     ):
         report = finish_run(prepare_run(config, well_system), seed=1)
         assert report.e_optimized >= report.e_g - 1e-10
+
+
+def test_build_subspace_sizes_match_benchmark_dim_count(monkeypatch, small_config):
+    """The benchmark's `subspace.dim` per op is the FCI sector size plus each
+    seed's outcome count: build_subspace, recorded in every cvqelab namespace
+    that holds it, runs once on the whole sector in build_system and once per
+    seed, on the filtered outcomes, in finish_run."""
+    original, sizes = subspace.build_subspace, []
+
+    def recording(outcomes, sq):
+        sizes.append(len(outcomes))
+        return original(outcomes, sq)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "cvqelab" and getattr(module, "build_subspace", None) is original:
+            monkeypatch.setattr(module, "build_subspace", recording)
+    system = build_system(small_config)
+    assert sizes == [24]
+    prepared = prepare_run(small_config, system)
+    sizes.clear()
+    reports = [finish_run(prepared, seed) for seed in (1, 2)]
+    assert sizes == [report.outcome_count for report in reports]
+
+
+def test_ground_is_the_whole_sector_subspace_solve(well_system):
+    """E_g and pGndD come from the same solve and producer as E* and pOD."""
+    sector = OutcomeSet(members=enumerate_sector(8, 2, 1).determinants)
+    opt = optimize(build_subspace(sector, well_system.sq))
+    assert opt.energy == well_system.fci_energy
+    p_od = probabilities(embed_optimized(opt.theta, sector, 8))
+    assert p_od.probs == well_system.ground.probs
 
 
 def test_seed_changes_sampling(small_config, well_system):

@@ -38,10 +38,11 @@ def test_collect_outcomes_basics():
 def test_restrict_to_sector():
     # 7 and 13 hold (2 up, 1 down); 11 holds (1, 2); 15 holds (2, 2)
     outcomes = collect_outcomes(counts_of({7: 5, 11: 5, 13: 5, 15: 5}), 1)
-    kept = restrict_to_sector(outcomes, 2, 1)
+    sector = enumerate_sector(4, 2, 1)
+    kept = restrict_to_sector(outcomes, sector)
     assert kept.members == (7, 13)
     with pytest.raises(EmptySubspaceError, match=r"\(2, 1\) sector"):
-        restrict_to_sector(collect_outcomes(counts_of({11: 5, 15: 5}), 1), 2, 1)
+        restrict_to_sector(collect_outcomes(counts_of({11: 5, 15: 5}), 1), sector)
 
 
 def test_outcome_set_ordering_invariant():
