@@ -19,7 +19,7 @@ from .fermion import (
 )
 from .geometry import Geometry, load_geometry, nuclear_repulsion, parse_geometry
 from .integrals import IntegralSet, compute_integrals
-from .pauli import PauliString, PauliSum, interpolate, prune, to_dense
+from .pauli import PauliSum, interpolate, prune, to_dense
 from .pipeline import (
     RunConfig,
     StageReport,

@@ -12,14 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import (
-    COEFF_FLOOR,
-    PauliString,
-    PauliSum,
-    mask_phases,
-    strings_from_masks,
-    symplectic_product,
-)
+from .pauli import PauliSum, mask_phases, symplectic_product
 from .scf import ModelHamiltonian, MOIntegrals
 
 # one- and two-body entries below this magnitude are skipped, Hartree
@@ -135,20 +128,15 @@ def jordan_wigner(sq: SecondQuantizedHamiltonian) -> PauliSum:
     coeffs = values * mask_phases(x, z)
     bad = np.flatnonzero(np.abs(coeffs.imag) > 1e-9)
     if len(bad):
-        (string,) = strings_from_masks(x[bad[:1]], z[bad[:1]], q)
-        raise ValueError(f"non-Hermitian JW coefficient {coeffs[bad[0]]} for {string.label()}")
-    # strings only for the terms that PauliSum.from_terms keeps
-    keep = np.abs(coeffs.real) >= COEFF_FLOOR
-    strings = strings_from_masks(x[keep], z[keep], q)
-    return PauliSum.from_terms(dict(zip(strings, coeffs.real[keep].tolist())), q)
+        (label,) = PauliSum.from_masks(x[bad[:1]], z[bad[:1]], np.ones(1), q).labels()
+        raise ValueError(f"non-Hermitian JW coefficient {coeffs[bad[0]]} for {label}")
+    return PauliSum.from_masks(x, z, coeffs.real, q)
 
 
 def model_pauli(model: ModelHamiltonian) -> PauliSum:
     """Diagonal model operator sum_p eps_p n_p + shift as a PauliSum."""
     q = len(model.eps_spin)
-    terms = {
-        PauliString.identity(q): model.shift + 0.5 * float(np.sum(model.eps_spin))
-    }
-    for p, eps in enumerate(model.eps_spin):
-        terms[PauliString.single(q, p, "Z")] = -0.5 * float(eps)
-    return PauliSum.from_terms(terms, q)
+    z = np.concatenate([[0], np.int64(1) << np.arange(q)])
+    identity = model.shift + 0.5 * float(np.sum(model.eps_spin))
+    coeffs = np.concatenate([[identity], -0.5 * model.eps_spin])
+    return PauliSum.from_masks(np.zeros_like(z), z, coeffs, q)

@@ -1,14 +1,16 @@
 """Pauli-string algebra: weighted sums of tensor products of I, X, Y, Z.
 
-A PauliString is a length-Q tuple over {I, X, Y, Z}; qubit 0 is the leftmost
-letter in the tuple and the least-significant bit of a Fock index.  PauliSums
-keep real coefficients (Hermitian operators only) in a canonically sorted map
-so iteration order is deterministic.  compile_pauli_action is the one
-Pauli-action kernel: flip-mask groups, rotations and expectations all use it.
-flip_groups sums H's strings by the qubits they flip; to_dense and the
-trapezoidal staircase read their matrix elements from those groups.
-Products are taken in binary symplectic form X^x Z^z over integer mask
-arrays (symplectic_product), the form Jordan-Wigner builds in.
+A PauliSum holds its strings in binary symplectic form: string j is
+i^{popcount(x[j] & z[j])} X^x[j] Z^z[j] (Y = iXZ on each qubit), with real
+coefficients[j] (Hermitian operators only).  Bit q of a mask is qubit q, the
+q-th least-significant bit of a Fock index.  Terms are kept in canonical
+order, the lexicographic order of their letter labels (qubit 0 first,
+I < X < Y < Z), so iteration order is deterministic.  compile_pauli_action
+is the one Pauli-action kernel: flip-mask groups, rotations and expectations
+all use it.  flip_groups sums H's strings by the qubits they flip; to_dense
+and the trapezoidal staircase read their matrix elements from those groups.
+Products are taken over whole mask arrays (symplectic_product), the form
+Jordan-Wigner builds in.
 """
 
 from __future__ import annotations
@@ -19,14 +21,14 @@ import numpy as np
 
 COEFF_FLOOR = 1e-12
 DENSE_QUBIT_CAP = 14
-
-_LETTERS = ("I", "X", "Y", "Z")
+# canonical keys hold two bits per qubit in an int64
+MAX_QUBITS = 31
 
 # i^k for k = 0..3
 _I_POWERS = np.array([1, 1j, -1, -1j])
 
 # letter of one qubit of X^x Z^z, indexed by x_bit + 2 * z_bit (up to phase)
-_MASK_LETTERS = ("I", "X", "Z", "Y")
+_MASK_LETTERS = np.array(list("IXZY"))
 
 _BYTE_POPCOUNT = np.array([bin(b).count("1") for b in range(256)])
 
@@ -35,105 +37,91 @@ class ResourceLimitError(RuntimeError):
     """Dense construction requested beyond the configured qubit cap."""
 
 
-@dataclass(frozen=True, order=True)
-class PauliString:
-    ops: tuple[str, ...]
-
-    def __post_init__(self):
-        if any(o not in _LETTERS for o in self.ops):
-            raise ValueError(f"invalid Pauli letters in {self.ops}")
-
-    @classmethod
-    def from_label(cls, label: str) -> "PauliString":
-        """Build from a letter string, qubit 0 first: 'XZI' = X on qubit 0, Z on qubit 1."""
-        return cls(tuple(label.upper()))
-
-    @classmethod
-    def identity(cls, n_qubits: int) -> "PauliString":
-        return cls(("I",) * n_qubits)
-
-    @classmethod
-    def single(cls, n_qubits: int, qubit: int, letter: str) -> "PauliString":
-        ops = ["I"] * n_qubits
-        ops[qubit] = letter
-        return cls(tuple(ops))
-
-    @property
-    def n_qubits(self) -> int:
-        return len(self.ops)
-
-    @property
-    def weight(self) -> int:
-        return len(self.ops) - self.ops.count("I")
-
-    def is_diagonal(self) -> bool:
-        """True for strings over {I, Z} only (phase action on Fock states)."""
-        return "X" not in self.ops and "Y" not in self.ops
-
-    def label(self) -> str:
-        return "".join(self.ops)
-
-    def masks(self) -> tuple[int, int]:
-        """Binary symplectic form (x_mask, z_mask): the string is
-        i^{popcount(x & z)} X^x Z^z, since Y = iXZ on each qubit."""
-        x_mask = z_mask = 0
-        for q, op in enumerate(self.ops):
-            if op in ("X", "Y"):
-                x_mask |= 1 << q
-            if op in ("Y", "Z"):
-                z_mask |= 1 << q
-        return x_mask, z_mask
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PauliSum:
-    """Hermitian operator: map from PauliString to real coefficient (Hartree)."""
+    """Hermitian operator sum_j coeffs[j] * P_j (Hartree), P_j given by the
+    masks (x[j], z[j]); build with from_masks for the canonical order."""
 
-    terms: dict[PauliString, float]
+    x: np.ndarray       # int64 flip masks (X or Y qubits)
+    z: np.ndarray       # int64 phase masks (Y or Z qubits)
+    coeffs: np.ndarray  # float
     n_qubits: int
 
     @classmethod
-    def from_terms(cls, terms: dict[PauliString, float], n_qubits: int) -> "PauliSum":
-        cleaned = {}
-        for string, coeff in terms.items():
-            if string.n_qubits != n_qubits:
-                raise ValueError(f"{string} does not act on {n_qubits} qubits")
-            c = float(coeff)
-            if abs(c) >= COEFF_FLOOR:
-                cleaned[string] = c
-        ordered = dict(sorted(cleaned.items(), key=lambda kv: kv[0].ops))
-        return cls(terms=ordered, n_qubits=n_qubits)
+    def from_masks(cls, x, z, coeffs, n_qubits: int) -> "PauliSum":
+        """Drop |coefficient| < COEFF_FLOOR and sort into canonical order;
+        each string may appear once."""
+        x, z = np.asarray(x, dtype=np.int64), np.asarray(z, dtype=np.int64)
+        coeffs = np.asarray(coeffs, dtype=float)
+        if n_qubits > MAX_QUBITS:
+            raise ValueError(f"{n_qubits} qubits exceeds {MAX_QUBITS}")
+        if np.any(((x | z) >> n_qubits) != 0):
+            raise ValueError(f"Pauli mask outside a {n_qubits}-qubit register")
+        keep = np.abs(coeffs) >= COEFF_FLOOR
+        x, z, coeffs = x[keep], z[keep], coeffs[keep]
+        key = _canonical_key(x, z, n_qubits)
+        order = np.argsort(key, kind="stable")
+        if np.any(np.diff(key[order]) == 0):
+            raise ValueError("repeated Pauli string")
+        return cls(x=x[order], z=z[order], coeffs=coeffs[order], n_qubits=n_qubits)
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return len(self.coeffs)
 
-    def coefficient(self, string: PauliString) -> float:
-        return self.terms.get(string, 0.0)
-
-    def scaled(self, factor: float) -> "PauliSum":
-        return PauliSum.from_terms(
-            {s: c * factor for s, c in self.terms.items()}, self.n_qubits
-        )
-
-    def __add__(self, other: "PauliSum") -> "PauliSum":
-        if self.n_qubits != other.n_qubits:
-            raise ValueError("qubit count mismatch")
-        merged = dict(self.terms)
-        for s, c in other.terms.items():
-            merged[s] = merged.get(s, 0.0) + c
-        return PauliSum.from_terms(merged, self.n_qubits)
-
-    def items(self):
-        return self.terms.items()
+    def labels(self) -> list[str]:
+        """Letter label of each string, qubit 0 first: 'XZI' = X on qubit 0, Z on qubit 1."""
+        qubits = np.arange(self.n_qubits)
+        bits = ((self.x[:, None] >> qubits) & 1) + 2 * ((self.z[:, None] >> qubits) & 1)
+        return ["".join(row) for row in _MASK_LETTERS[bits].tolist()]
 
 
+def _canonical_key(x: np.ndarray, z: np.ndarray, n_qubits: int) -> np.ndarray:
+    """Base-4 label key, qubit 0 the most significant digit, with the digit
+    2z + (x XOR z) of each qubit: I = 0, X = 1, Y = 2, Z = 3."""
+    key = np.zeros(x.shape, dtype=np.int64)
+    for q in range(n_qubits):
+        xq, zq = (x >> q) & 1, (z >> q) & 1
+        key = 4 * key + 2 * zq + (xq ^ zq)
+    return key
+
+
+def align(*sums: PauliSum) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The union of the sums' strings in canonical order, as masks (x, z), and
+    an (n_sums, T) array with each sum's coefficients on it (zero where absent)."""
+    n_qubits = sums[0].n_qubits
+    if any(h.n_qubits != n_qubits for h in sums):
+        raise ValueError("qubit count mismatch")
+    x = np.concatenate([h.x for h in sums])
+    z = np.concatenate([h.z for h in sums])
+    _keys, first, inverse = np.unique(
+        _canonical_key(x, z, n_qubits), return_index=True, return_inverse=True
+    )
+    coeffs = np.zeros((len(sums), len(first)))
+    owner = np.repeat(np.arange(len(sums)), [len(h) for h in sums])
+    coeffs[owner, inverse] = np.concatenate([h.coeffs for h in sums])
+    return x[first], z[first], coeffs
+
+
+def interpolation_rows(c0: np.ndarray, c1: np.ndarray, etas: np.ndarray) -> np.ndarray:
+    """Row k = (1 - etas[k]) * c0 + etas[k] * c1, each scaled operand
+    floored at COEFF_FLOOR before the sum."""
+    if not np.all((etas >= 0.0) & (etas <= 1.0)):
+        raise ValueError("eta outside [0, 1]")
+    part0 = np.multiply.outer(1.0 - etas, c0)
+    part0[np.abs(part0) < COEFF_FLOOR] = 0.0
+    rows = np.multiply.outer(etas, c1)
+    rows[np.abs(rows) < COEFF_FLOOR] = 0.0
+    rows += part0
+    return rows
+
+
+# interpolate and prune stay only because the benchmark traces them by name;
+# the run path uses align and interpolation_rows directly.
 def interpolate(h0: PauliSum, h: PauliSum, eta: float) -> PauliSum:
     """(1 - eta) * h0 + eta * h, merged term by term."""
-    if h0.n_qubits != h.n_qubits:
-        raise ValueError("qubit count mismatch")
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta = {eta} outside [0, 1]")
-    return h0.scaled(1.0 - eta) + h.scaled(eta)
+    x, z, (c0, c1) = align(h0, h)
+    (coeffs,) = interpolation_rows(c0, c1, np.array([eta], dtype=float))
+    return PauliSum.from_masks(x, z, coeffs, h.n_qubits)
 
 
 def prune(h: PauliSum, threshold: float, drop_diagonal: bool = False) -> PauliSum:
@@ -141,12 +129,10 @@ def prune(h: PauliSum, threshold: float, drop_diagonal: bool = False) -> PauliSu
     optionally every {I, Z}-only string (pure phases when executed first)."""
     if threshold < 0:
         raise ValueError("threshold must be nonnegative")
-    kept = {
-        s: c
-        for s, c in h.terms.items()
-        if abs(c) >= threshold and not (drop_diagonal and s.is_diagonal())
-    }
-    return PauliSum.from_terms(kept, h.n_qubits)
+    keep = np.abs(h.coeffs) >= threshold
+    if drop_diagonal:
+        keep &= h.x != 0
+    return PauliSum.from_masks(h.x[keep], h.z[keep], h.coeffs[keep], h.n_qubits)
 
 
 def _popcount(masks: np.ndarray) -> np.ndarray:
@@ -171,22 +157,14 @@ def mask_phases(x: np.ndarray, z: np.ndarray) -> np.ndarray:
     return _I_POWERS[-_popcount(x & z) & 3]
 
 
-def strings_from_masks(x: np.ndarray, z: np.ndarray, n_qubits: int) -> list[PauliString]:
-    """The Pauli string of each X^x Z^z (up to mask_phases)."""
-    qubits = np.arange(n_qubits)
-    bits = ((x[:, None] >> qubits) & 1) + 2 * ((z[:, None] >> qubits) & 1)
-    return [PauliString(tuple(map(_MASK_LETTERS.__getitem__, row))) for row in bits.tolist()]
-
-
-def compile_pauli_action(string: PauliString) -> tuple[np.ndarray, np.ndarray]:
+def compile_pauli_action(x_mask: int, z_mask: int, n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
     """Gather index and phase arrays so (P psi)[m] = phase[m] * psi[source[m]].
 
-    Binary symplectic form: P flips the X/Y qubits (x_mask) and contributes
+    P flips the X/Y qubits (x_mask) and contributes
     i^{n_Y} (-1)^{parity(source & z_mask)} from its Y/Z qubits (z_mask).
     """
-    x_mask, z_mask = string.masks()
     n_y = bin(x_mask & z_mask).count("1")
-    source = np.arange(1 << string.n_qubits) ^ x_mask
+    source = np.arange(1 << n_qubits) ^ x_mask
     return source, _I_POWERS[(n_y + 2 * (_popcount(source & z_mask) & 1)) & 3]
 
 
@@ -200,11 +178,11 @@ def flip_groups(h: PauliSum) -> tuple[np.ndarray, np.ndarray]:
     """
     if h.n_qubits > DENSE_QUBIT_CAP:
         raise ResourceLimitError(f"{h.n_qubits} qubits exceeds dense cap {DENSE_QUBIT_CAP}")
-    x_masks = [string.masks()[0] for string in h.terms]
-    masks = np.unique(np.array([0, *x_masks], dtype=np.int64))
+    masks = np.unique(np.concatenate([np.zeros(1, dtype=np.int64), h.x]))
     rows = np.zeros((len(masks), 1 << h.n_qubits), dtype=complex)
-    for (string, coeff), k in zip(h.items(), np.searchsorted(masks, x_masks).tolist()):
-        _source, phase = compile_pauli_action(string)
+    groups = np.searchsorted(masks, h.x).tolist()
+    for x, z, coeff, k in zip(h.x.tolist(), h.z.tolist(), h.coeffs.tolist(), groups):
+        _source, phase = compile_pauli_action(x, z, h.n_qubits)
         rows[k] += coeff * phase
     return masks, rows
 

@@ -217,7 +217,7 @@ def prepare_run(config: RunConfig, system: SystemModel | None = None) -> Prepare
         sampled_from=sampled_from,
         e_trapezoidal=expectation(psi_trap, h),
         e_guiding=expectation(psi_guid, h),
-        stats=circuit_stats(h, schedule, trotter, h0=h0),
+        stats=circuit_stats(h0, h, schedule, trotter),
         conditions=check_conditions(config.K, config.hbar_omega, sys_model.omega0),
     )
 

@@ -18,7 +18,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import COEFF_FLOOR, PauliString, PauliSum, compile_pauli_action, flip_groups
+from .pauli import (
+    COEFF_FLOOR,
+    PauliSum,
+    _popcount,
+    align,
+    compile_pauli_action,
+    flip_groups,
+    interpolation_rows,
+)
 from .statevector import StateVector, init_fock, rotate_amplitudes
 
 TERM_ORDERS = ("magnitude_desc", "magnitude_asc", "canonical", "canonical_reversed")
@@ -121,39 +129,25 @@ def _sector_block(masks: np.ndarray, rows: np.ndarray, sector: np.ndarray) -> np
 
 
 def _staircase(
-    h0: PauliSum | None, h: PauliSum, schedule: PrepSchedule, trotter: TrotterConfig
-) -> tuple[list[PauliString], np.ndarray, np.ndarray]:
-    """Strings in canonical order, the (K, T) per-step coefficients and the
-    (K, T) mask of terms each step executes.
+    h0: PauliSum, h: PauliSum, schedule: PrepSchedule, trotter: TrotterConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Masks (x, z) of the strings in canonical order, the (K, T) per-step
+    coefficients and the (K, T) mask of terms each step executes.
 
     Row k holds the coefficients of prune(interpolate(h0, h, eta_k)),
     including interpolate's COEFF_FLOOR drop of each scaled operand before
-    the sum; without h0 every row holds h's coefficients.
+    the sum.
     """
     if trotter.prune_threshold < 0:
         raise ValueError("threshold must be nonnegative")
-    if h0 is not None and h0.n_qubits != h.n_qubits:
-        raise ValueError("qubit count mismatch")
-    all_terms = set(h.terms) | set(h0.terms if h0 is not None else ())
-    strings = sorted(all_terms, key=lambda s: s.ops)
-    c1 = np.array([h.coefficient(s) for s in strings], dtype=float)
-    if h0 is None:
-        coeffs = np.tile(c1, (len(schedule.steps), 1))
-    else:
-        etas = np.array([eta for eta, _scale in schedule.steps], dtype=float)
-        if not np.all((etas >= 0.0) & (etas <= 1.0)):
-            raise ValueError("schedule eta outside [0, 1]")
-        c0 = np.array([h0.coefficient(s) for s in strings], dtype=float)
-        part0 = np.multiply.outer(1.0 - etas, c0)
-        part0[np.abs(part0) < COEFF_FLOOR] = 0.0
-        coeffs = np.multiply.outer(etas, c1)
-        coeffs[np.abs(coeffs) < COEFF_FLOOR] = 0.0
-        coeffs += part0
+    x, z, (c0, c1) = align(h0, h)
+    etas = np.array([eta for eta, _scale in schedule.steps], dtype=float)
+    coeffs = interpolation_rows(c0, c1, etas)
     magnitude = np.abs(coeffs)
     keep = (magnitude >= COEFF_FLOOR) & (magnitude >= trotter.prune_threshold)
     if trotter.drop_diagonal:
-        keep &= ~np.array([s.is_diagonal() for s in strings], dtype=bool)
-    return strings, coeffs, keep
+        keep &= x != 0
+    return x, z, coeffs, keep
 
 
 def prepare_guiding(
@@ -168,13 +162,11 @@ def prepare_guiding(
     Each step rotates by the terms of prune(interpolate(h0, h, eta)) in the
     configured order; ties in magnitude fall back to canonical order.
     """
-    strings, coeffs, keep = _staircase(h0, h, schedule, trotter)
+    x, z, coeffs, keep = _staircase(h0, h, schedule, trotter)
     amp = init_fock(phi0, h.n_qubits).amplitudes
-    identity = PauliString.identity(h.n_qubits)
     compiled = {
-        j: compile_pauli_action(strings[j])
-        for j in np.flatnonzero(keep.any(axis=0)).tolist()
-        if strings[j] != identity
+        j: compile_pauli_action(int(x[j]), int(z[j]), h.n_qubits)
+        for j in np.flatnonzero(keep.any(axis=0) & ((x | z) != 0)).tolist()
     }
     for (_eta, scale), row, kept in zip(schedule.steps, coeffs, keep):
         rank = np.flatnonzero(kept)
@@ -209,20 +201,16 @@ def check_conditions(K: int, hbar_omega: float, omega0: float) -> ConditionRepor
 
 
 def circuit_stats(
-    h: PauliSum,
-    schedule: PrepSchedule,
-    trotter: TrotterConfig = TrotterConfig(),
-    h0: PauliSum | None = None,
+    h0: PauliSum, h: PauliSum, schedule: PrepSchedule, trotter: TrotterConfig
 ) -> CircuitStats:
-    """Rotation/CNOT ladder estimate over surviving terms.
+    """Rotation/CNOT ladder estimate over the terms each step executes.
 
     Each weight-w rotation costs 2*(w-1) CNOTs in the standard ladder
-    decomposition; depth_proxy adds one rotation layer per term.  When h0 is
-    given the per-step counts follow the interpolated Hamiltonians, otherwise
-    every step reuses h.
+    decomposition; depth_proxy adds one rotation layer per term.  The
+    per-step counts follow the interpolated Hamiltonians of the staircase.
     """
-    strings, _coeffs, keep = _staircase(h0, h, schedule, trotter)
-    weight = np.array([s.weight for s in strings], dtype=int)
+    x, z, _coeffs, keep = _staircase(h0, h, schedule, trotter)
+    weight = _popcount(x | z)
     gates = keep & (weight > 0)  # identity strings are a global phase, no gate
     per_step = gates.sum(axis=1)
     rotations = int(per_step.sum())

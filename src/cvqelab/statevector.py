@@ -89,8 +89,8 @@ def expectation(state: StateVector, h: PauliSum) -> float:
     """<psi|H|psi> for Hermitian H (real by construction)."""
     amp = state.amplitudes
     total = 0.0 + 0.0j
-    for string, coeff in h.items():
-        source, phase = compile_pauli_action(string)
+    for x, z, coeff in zip(h.x.tolist(), h.z.tolist(), h.coeffs.tolist()):
+        source, phase = compile_pauli_action(x, z, h.n_qubits)
         total += coeff * np.vdot(amp, phase * amp[source])
     return float(total.real)
 

@@ -13,7 +13,7 @@ from cvqelab.fermion import (
 )
 from cvqelab.geometry import load_geometry, parse_geometry
 from cvqelab.integrals import compute_integrals
-from cvqelab.pauli import COEFF_FLOOR, PauliString, PauliSum, compile_pauli_action
+from cvqelab.pauli import COEFF_FLOOR, PauliSum, compile_pauli_action
 from cvqelab.scf import ConvergenceError, SCFResult, model_hamiltonian, run_scf, transform_to_mo
 from cvqelab.statevector import StateVector, init_fock, probabilities, rotate_amplitudes
 from cvqelab.subspace import embed_optimized, slater_condon
@@ -29,10 +29,44 @@ PAULI_MATRICES = {
 }
 
 
-def kron_oracle(string: PauliString) -> np.ndarray:
+def label_masks(label: str) -> tuple[int, int]:
+    """Binary symplectic masks (x, z) of a letter label, qubit 0 first:
+    X and Y flip their qubit, Y and Z give it a phase."""
+    x = sum(1 << q for q, op in enumerate(label) if op in "XY")
+    z = sum(1 << q for q, op in enumerate(label) if op in "YZ")
+    return x, z
+
+
+def from_labels(terms: dict[str, float], n_qubits: int | None = None) -> PauliSum:
+    """PauliSum from {letter label: coefficient}; 'XZI' = X on qubit 0, Z on qubit 1."""
+    if n_qubits is None:
+        (n_qubits,) = {len(label) for label in terms}
+    if any(len(label) != n_qubits or set(label) - set("IXYZ") for label in terms):
+        raise ValueError(f"labels {list(terms)} are not {n_qubits}-qubit Pauli strings")
+    masks = [label_masks(label) for label in terms]
+    x = np.array([m[0] for m in masks], dtype=np.int64)
+    z = np.array([m[1] for m in masks], dtype=np.int64)
+    return PauliSum.from_masks(x, z, np.array(list(terms.values()), dtype=float), n_qubits)
+
+
+def label_terms(h: PauliSum) -> list[tuple[str, float]]:
+    """(letter label, coefficient) of each term, in the sum's order."""
+    return list(zip(h.labels(), h.coeffs.tolist()))
+
+
+def random_sum(rng, n_qubits: int, n_terms: int) -> PauliSum:
+    """Up to n_terms random strings with normal coefficients; a repeated
+    string keeps its last draw."""
+    terms = {}
+    for _ in range(n_terms):
+        terms["".join(rng.choice(("I", "X", "Y", "Z"), size=n_qubits))] = float(rng.normal())
+    return from_labels(terms, n_qubits)
+
+
+def kron_oracle(label: str) -> np.ndarray:
     """Independent dense build: qubit 0 least significant -> rightmost factor."""
     out = np.eye(1, dtype=complex)
-    for op in string.ops:
+    for op in label:
         out = np.kron(PAULI_MATRICES[op], out)
     return out
 
@@ -40,55 +74,82 @@ def kron_oracle(string: PauliString) -> np.ndarray:
 def kron_dense(h: PauliSum) -> np.ndarray:
     """Independent dense build of a sum, term by term through kron_oracle."""
     out = np.zeros((1 << h.n_qubits,) * 2, dtype=complex)
-    for string, coeff in h.items():
-        out += coeff * kron_oracle(string)
+    for label, coeff in label_terms(h):
+        out += coeff * kron_oracle(label)
     return out
 
 
 def number_operator(n_qubits: int) -> PauliSum:
     """Total particle number: sum_q (I - Z_q)/2."""
-    terms = {PauliString.identity(n_qubits): n_qubits / 2.0}
+    terms = {"I" * n_qubits: n_qubits / 2.0}
     for q in range(n_qubits):
-        terms[PauliString.single(n_qubits, q, "Z")] = -0.5
-    return PauliSum.from_terms(terms, n_qubits)
+        terms["I" * q + "Z" + "I" * (n_qubits - q - 1)] = -0.5
+    return from_labels(terms)
 
 
 def sz_operator(n_qubits: int) -> PauliSum:
     """Total Sz for interleaved spin ordering (even qubits up, odd down)."""
-    terms: dict[PauliString, float] = {}
+    terms: dict[str, float] = {}
     n_even = (n_qubits + 1) // 2
     n_odd = n_qubits // 2
     if n_even != n_odd:
-        terms[PauliString.identity(n_qubits)] = 0.25 * (n_even - n_odd)
+        terms["I" * n_qubits] = 0.25 * (n_even - n_odd)
     for q in range(n_qubits):
         sign = 1.0 if q % 2 == 0 else -1.0
-        terms[PauliString.single(n_qubits, q, "Z")] = -0.25 * sign
-    return PauliSum.from_terms(terms, n_qubits)
+        terms["I" * q + "Z" + "I" * (n_qubits - q - 1)] = -0.25 * sign
+    return from_labels(terms)
 
 
-def apply_pauli_rotation(state: StateVector, string: PauliString, angle: float) -> StateVector:
+def apply_pauli_rotation(state: StateVector, label: str, angle: float) -> StateVector:
     """exp(-i * angle * P) |psi> = cos(angle)|psi> - i sin(angle) P|psi>."""
-    if string.n_qubits != state.n_qubits:
+    if len(label) != state.n_qubits:
         raise ValueError("qubit count mismatch")
-    amp = rotate_amplitudes(state.amplitudes, compile_pauli_action(string), angle)
-    return StateVector(amp, state.n_qubits)
+    action = compile_pauli_action(*label_masks(label), state.n_qubits)
+    return StateVector(rotate_amplitudes(state.amplitudes, action, angle), state.n_qubits)
 
 
-def ordered_terms(h: PauliSum, order: str) -> list[tuple[PauliString, float]]:
+def ordered_terms(h: PauliSum, order: str) -> list[tuple[str, float]]:
     """One Trotter step's terms in the given order; the per-step reference
     loop that prep.prepare_guiding is tested against."""
-    items = list(h.items())
+    items = label_terms(h)
     if order == "magnitude_desc":
-        items.sort(key=lambda kv: (-abs(kv[1]), kv[0].ops))
+        items.sort(key=lambda kv: (-abs(kv[1]), kv[0]))
     elif order == "magnitude_asc":
-        items.sort(key=lambda kv: (abs(kv[1]), kv[0].ops))
+        items.sort(key=lambda kv: (abs(kv[1]), kv[0]))
     elif order == "canonical":
-        items.sort(key=lambda kv: kv[0].ops)
+        items.sort(key=lambda kv: kv[0])
     elif order == "canonical_reversed":
-        items.sort(key=lambda kv: kv[0].ops, reverse=True)
+        items.sort(key=lambda kv: kv[0], reverse=True)
     else:
         raise ValueError(f"unknown term order {order!r}")
     return items
+
+
+def _floored(terms: dict[str, float]) -> dict[str, float]:
+    return {label: c for label, c in terms.items() if abs(c) >= COEFF_FLOOR}
+
+
+def reference_interpolate(h0: PauliSum, h: PauliSum, eta: float) -> PauliSum:
+    """(1 - eta) * h0 + eta * h over label dicts: floor each scaled operand at
+    COEFF_FLOOR, merge h's terms into h0's, then floor the sum.  The reference
+    that pauli.interpolate must match byte for byte."""
+    if h0.n_qubits != h.n_qubits or not 0.0 <= eta <= 1.0:
+        raise ValueError("qubit count mismatch or eta outside [0, 1]")
+    merged = _floored({label: c * (1.0 - eta) for label, c in label_terms(h0)})
+    for label, c in _floored({label: c * eta for label, c in label_terms(h)}).items():
+        merged[label] = merged.get(label, 0.0) + c
+    return from_labels(_floored(merged), h.n_qubits)
+
+
+def reference_prune(h: PauliSum, threshold: float, drop_diagonal: bool = False) -> PauliSum:
+    """Terms with |coefficient| >= threshold, without the {I, Z}-only strings
+    when drop_diagonal is set: the reference for pauli.prune."""
+    kept = {
+        label: c
+        for label, c in label_terms(h)
+        if abs(c) >= threshold and not (drop_diagonal and set(label) <= set("IZ"))
+    }
+    return from_labels(kept, h.n_qubits)
 
 
 def reference_to_dense(h: PauliSum) -> np.ndarray:
@@ -97,8 +158,8 @@ def reference_to_dense(h: PauliSum) -> np.ndarray:
     dim = 1 << h.n_qubits
     out = np.zeros((dim, dim), dtype=complex)
     idx = np.arange(dim)
-    for string, coeff in h.terms.items():
-        source, phase = compile_pauli_action(string)
+    for label, coeff in label_terms(h):
+        source, phase = compile_pauli_action(*label_masks(label), h.n_qubits)
         out[idx, source] += coeff * phase
     return out
 
@@ -204,32 +265,26 @@ LETTER_PRODUCTS[("Z", "X")] = (1j, "Y")
 LETTER_PRODUCTS[("X", "Z")] = (-1j, "Y")
 
 
-def string_product(a: PauliString, b: PauliString) -> tuple[complex, PauliString]:
+def string_product(a: str, b: str) -> tuple[complex, str]:
     """a b = phase * c, letter by letter."""
     phase = 1.0 + 0.0j
     out = []
-    for x, y in zip(a.ops, b.ops):
+    for x, y in zip(a, b):
         ph, c = LETTER_PRODUCTS[(x, y)]
         phase *= ph
         out.append(c)
-    return phase, PauliString(tuple(out))
+    return phase, "".join(out)
 
 
-def _jw_ladder(q_tot: int, mode: int, dagger: bool) -> dict[PauliString, complex]:
+def _jw_ladder(q_tot: int, mode: int, dagger: bool) -> dict[str, complex]:
     """a_mode or a+_mode as a two-string Pauli sum with the Z parity tail."""
-    ops_x = ["Z"] * mode + ["X"] + ["I"] * (q_tot - mode - 1)
-    ops_y = ["Z"] * mode + ["Y"] + ["I"] * (q_tot - mode - 1)
+    tail = "I" * (q_tot - mode - 1)
     sign = -1j if dagger else 1j
-    return {
-        PauliString(tuple(ops_x)): 0.5,
-        PauliString(tuple(ops_y)): 0.5 * sign,
-    }
+    return {"Z" * mode + "X" + tail: 0.5, "Z" * mode + "Y" + tail: 0.5 * sign}
 
 
-def _multiply_sums(
-    a: dict[PauliString, complex], b: dict[PauliString, complex]
-) -> dict[PauliString, complex]:
-    out: dict[PauliString, complex] = {}
+def _multiply_sums(a: dict[str, complex], b: dict[str, complex]) -> dict[str, complex]:
+    out: dict[str, complex] = {}
     for sa, ca in a.items():
         for sb, cb in b.items():
             phase, s = string_product(sa, sb)
@@ -241,7 +296,7 @@ def reference_jordan_wigner(sq: SecondQuantizedHamiltonian) -> PauliSum:
     """Jordan-Wigner one ladder-operator product at a time, letter by letter:
     the reference that fermion.jordan_wigner is tested against."""
     q = sq.n_spin_orbitals
-    acc: dict[PauliString, complex] = {PauliString.identity(q): sq.constant}
+    acc: dict[str, complex] = {"I" * q: sq.constant}
 
     ladders_dag = [_jw_ladder(q, m, True) for m in range(q)]
     ladders = [_jw_ladder(q, m, False) for m in range(q)]
@@ -265,12 +320,12 @@ def reference_jordan_wigner(sq: SecondQuantizedHamiltonian) -> PauliSum:
                 for s, c in prod.items():
                     acc[s] = acc.get(s, 0.0) + coeff * c
 
-    terms: dict[PauliString, float] = {}
+    terms: dict[str, float] = {}
     for s, c in acc.items():
         if abs(c.imag) > 1e-9:
-            raise ValueError(f"non-Hermitian JW coefficient {c} for {s.label()}")
+            raise ValueError(f"non-Hermitian JW coefficient {c} for {s}")
         terms[s] = c.real
-    return PauliSum.from_terms(terms, q)
+    return from_labels(terms, q)
 
 
 def reference_run_scf(integrals, n_alpha: int, n_beta: int) -> SCFResult:

@@ -424,7 +424,7 @@ def test_criterion_10_noise_knob_and_cnot_estimate(system):
             ok = ok and set(retained.members) <= allowed
             ok = ok and {7, 52, 196} <= set(retained.members)
             details.append(f"thr={threshold}: retained {len(retained)} allowed states")
-    stats = circuit_stats(system.h_pauli, build_schedule(1, 1.0), trotter)
+    stats = circuit_stats(system.h0_pauli, system.h_pauli, build_schedule(1, 1.0), trotter)
     ok = ok and stats.cnot_estimate > 0
     verdict(
         "10 (noise knob + CNOT ladder estimate)",

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from cvqelab.pauli import (
-    PauliString,
     PauliSum,
     ResourceLimitError,
     compile_pauli_action,
@@ -12,44 +11,50 @@ from cvqelab.pauli import (
     interpolate,
     mask_phases,
     prune,
-    strings_from_masks,
     symplectic_product,
     to_dense,
 )
 
-from conftest import kron_dense, kron_oracle, number_operator, reference_to_dense, sz_operator
+from conftest import (
+    from_labels,
+    kron_dense,
+    kron_oracle,
+    label_masks,
+    label_terms,
+    number_operator,
+    random_sum,
+    reference_interpolate,
+    reference_prune,
+    reference_to_dense,
+    sz_operator,
+)
 
 
-def random_sum(rng, n_qubits, n_terms) -> PauliSum:
-    terms = {}
-    for _ in range(n_terms):
-        ops = tuple(rng.choice(("I", "X", "Y", "Z"), size=n_qubits))
-        terms[PauliString(ops)] = float(rng.normal())
-    return PauliSum.from_terms(terms, n_qubits)
+def random_label(rng, n_qubits) -> str:
+    return "".join(rng.choice(("I", "X", "Y", "Z"), size=n_qubits))
 
 
 def test_string_products_match_matrix_oracle():
     """Masks, symplectic product and phase bookkeeping against Kronecker matrices."""
     rng = np.random.default_rng(0)
     for _ in range(50):
-        a = PauliString(tuple(rng.choice(("I", "X", "Y", "Z"), size=3)))
-        b = PauliString(tuple(rng.choice(("I", "X", "Y", "Z"), size=3)))
-        (xa, za), (xb, zb) = a.masks(), b.masks()
+        a, b = random_label(rng, 3), random_label(rng, 3)
+        (xa, za), (xb, zb) = label_masks(a), label_masks(b)
         x, z, sign = symplectic_product(
             np.array([xa]), np.array([za]), np.array([xb]), np.array([zb])
         )
-        (c,) = strings_from_masks(x, z, 3)
+        (c,) = PauliSum.from_masks(x, z, [1.0], 3).labels()
         # a = i^popcount(xa & za) X^xa Z^za, since Y = iXZ; likewise b
         phase = 1j ** (bin(xa & za).count("1") + bin(xb & zb).count("1"))
         phase *= sign[0] * mask_phases(x, z)[0]
         assert np.allclose(phase * kron_oracle(c), kron_oracle(a) @ kron_oracle(b))
-        assert strings_from_masks(np.array([xa]), np.array([za]), 3) == [a]
+        assert PauliSum.from_masks([xa], [za], [1.0], 3).labels() == [a]
 
 
 def test_single_qubit_dense():
-    z = PauliSum.from_terms({PauliString.from_label("Z"): 1.0}, 1)
+    z = from_labels({"Z": 1.0})
     assert np.allclose(to_dense(z), np.diag([1.0, -1.0]))
-    x = PauliSum.from_terms({PauliString.from_label("X"): 1.0}, 1)
+    x = from_labels({"X": 1.0})
     assert np.allclose(to_dense(x), np.array([[0, 1], [1, 0]]))
 
 
@@ -58,21 +63,21 @@ def test_dense_matches_kron_oracle():
     h = random_sum(rng, 3, 12)
     assert np.max(np.abs(to_dense(h) - kron_dense(h))) < 1e-14
     for ops in itertools.product("IXYZ", repeat=3):
-        string = PauliString(ops)
-        single = to_dense(PauliSum.from_terms({string: 1.0}, 3))
-        assert np.array_equal(single, kron_oracle(string)), string.label()
+        label = "".join(ops)
+        single = to_dense(from_labels({label: 1.0}))
+        assert np.array_equal(single, kron_oracle(label)), label
     for n_qubits in (1, 2, 4):
         h = random_sum(rng, n_qubits, 3 * n_qubits)
         assert np.max(np.abs(to_dense(h) - kron_dense(h))) < 1e-14
 
 
-def per_letter_action(string: PauliString) -> tuple[np.ndarray, np.ndarray]:
+def per_letter_action(label: str) -> tuple[np.ndarray, np.ndarray]:
     """Reference kernel: one phase pass over the register per Y or Z letter."""
-    dim = 1 << string.n_qubits
-    flip = sum(1 << q for q, op in enumerate(string.ops) if op in ("X", "Y"))
+    dim = 1 << len(label)
+    flip = sum(1 << q for q, op in enumerate(label) if op in ("X", "Y"))
     source = np.arange(dim) ^ flip
     phase = np.ones(dim, dtype=complex)
-    for q, op in enumerate(string.ops):
+    for q, op in enumerate(label):
         bits = (source >> q) & 1
         if op == "Y":
             phase = phase * np.where(bits == 0, 1j, -1j)
@@ -86,11 +91,11 @@ def test_action_kernel_matches_per_letter_reference():
     rng = np.random.default_rng(31)
     for n_qubits in (5, 9, 12):
         for _ in range(20):
-            string = PauliString(tuple(rng.choice(("I", "X", "Y", "Z"), size=n_qubits)))
-            source, phase = compile_pauli_action(string)
-            ref_source, ref_phase = per_letter_action(string)
+            label = random_label(rng, n_qubits)
+            source, phase = compile_pauli_action(*label_masks(label), n_qubits)
+            ref_source, ref_phase = per_letter_action(label)
             assert np.array_equal(source, ref_source)
-            assert np.array_equal(phase, ref_phase), string.label()
+            assert np.array_equal(phase, ref_phase), label
 
 
 def test_hermiticity():
@@ -102,7 +107,7 @@ def test_hermiticity():
 
 
 def test_dense_cap():
-    h = PauliSum.from_terms({PauliString.identity(15): 1.0}, 15)
+    h = from_labels({"I" * 15: 1.0})
     with pytest.raises(ResourceLimitError):
         to_dense(h)
     with pytest.raises(ResourceLimitError):
@@ -110,12 +115,10 @@ def test_dense_cap():
 
 
 def test_flip_groups_rows_are_matrix_elements(well):
-    xx_yy = PauliSum.from_terms(
-        {PauliString.from_label("XXZ"): 0.5, PauliString.from_label("YYZ"): 0.5}, 3
-    )
-    for h in (well.h_pauli, well.h0_pauli, xx_yy, PauliSum.from_terms({}, 2)):
+    xx_yy = from_labels({"XXZ": 0.5, "YYZ": 0.5})
+    for h in (well.h_pauli, well.h0_pauli, xx_yy, from_labels({}, 2)):
         masks, rows = flip_groups(h)
-        assert masks.tolist() == sorted({s.masks()[0] for s in h.terms} | {0})
+        assert masks.tolist() == sorted({label_masks(label)[0] for label in h.labels()} | {0})
         assert rows.shape == (len(masks), 1 << h.n_qubits)
         dense = kron_dense(h)
         m = np.arange(1 << h.n_qubits)
@@ -127,12 +130,9 @@ def test_to_dense_bit_identical_to_per_string_reference(h4_hamiltonians):
     """The flip-mask scatter gives the per-string build's bytes, -0.0 included."""
     rng = np.random.default_rng(44)
     cases = [
-        PauliSum.from_terms({}, 3),
-        PauliSum.from_terms({PauliString.identity(5): -0.7}, 5),
-        PauliSum.from_terms(
-            {PauliString.from_label("XXI"): 0.25, PauliString.from_label("YYI"): 0.25,
-             PauliString.from_label("IXY"): -0.5, PauliString.from_label("IYX"): 0.5}, 3
-        ),
+        from_labels({}, 3),
+        from_labels({"IIIII": -0.7}),
+        from_labels({"XXI": 0.25, "YYI": 0.25, "IXY": -0.5, "IYX": 0.5}),
     ]
     for n_qubits in range(3, 9):
         cases.append(random_sum(rng, n_qubits, 4 * n_qubits))
@@ -147,8 +147,8 @@ def test_interpolate_endpoints_and_linearity():
     rng = np.random.default_rng(2)
     h0 = random_sum(rng, 2, 5)
     h1 = random_sum(rng, 2, 5)
-    assert interpolate(h0, h1, 0.0).terms == h0.terms
-    assert interpolate(h0, h1, 1.0).terms == h1.terms
+    assert label_terms(interpolate(h0, h1, 0.0)) == label_terms(h0)
+    assert label_terms(interpolate(h0, h1, 1.0)) == label_terms(h1)
     for eta in (0.25, 0.5, 0.9):
         mixed = to_dense(interpolate(h0, h1, eta))
         direct = (1 - eta) * to_dense(h0) + eta * to_dense(h1)
@@ -158,46 +158,76 @@ def test_interpolate_endpoints_and_linearity():
 
 
 def test_interpolate_merges_terms():
-    z = PauliSum.from_terms({PauliString.from_label("Z"): 1.0}, 1)
-    x = PauliSum.from_terms({PauliString.from_label("X"): 2.0}, 1)
-    mixed = interpolate(z, x, 0.5)
-    assert mixed.coefficient(PauliString.from_label("Z")) == pytest.approx(0.5)
-    assert mixed.coefficient(PauliString.from_label("X")) == pytest.approx(1.0)
+    z = from_labels({"Z": 1.0})
+    x = from_labels({"X": 2.0})
+    mixed = dict(label_terms(interpolate(z, x, 0.5)))
+    assert mixed == {"X": pytest.approx(1.0), "Z": pytest.approx(0.5)}
 
 
 def test_prune():
-    h = PauliSum.from_terms(
-        {
-            PauliString.from_label("ZZ"): 0.01,
-            PauliString.from_label("XI"): 0.5,
-            PauliString.from_label("IZ"): 0.3,
-            PauliString.from_label("II"): 2.0,
-        },
-        2,
-    )
-    assert prune(h, 0.0).terms == h.terms
+    h = from_labels({"ZZ": 0.01, "XI": 0.5, "IZ": 0.3, "II": 2.0})
+    assert label_terms(prune(h, 0.0)) == label_terms(h)
     filtered = prune(h, 0.02)
-    assert PauliString.from_label("ZZ") not in filtered.terms
+    assert "ZZ" not in filtered.labels()
     assert len(filtered) == 3
     no_diag = prune(h, 0.02, drop_diagonal=True)
-    assert list(no_diag.terms) == [PauliString.from_label("XI")]
+    assert no_diag.labels() == ["XI"]
 
 
 def test_coefficient_floor_cancellation():
-    z = PauliSum.from_terms({PauliString.from_label("Z"): 1.0}, 1)
-    cancelled = z + z.scaled(-1.0)
+    z = from_labels({"Z": 1.0})
+    cancelled = interpolate(z, from_labels({"Z": -1.0}), 0.5)
     assert len(cancelled) == 0
+    assert len(from_labels({"Z": 0.5e-12, "X": 1.0})) == 1
 
 
-def test_deterministic_iteration_order():
-    terms = {
-        PauliString.from_label("ZI"): 1.0,
-        PauliString.from_label("IX"): 2.0,
-        PauliString.from_label("XX"): 3.0,
-    }
-    h1 = PauliSum.from_terms(dict(terms), 2)
-    h2 = PauliSum.from_terms(dict(reversed(list(terms.items()))), 2)
-    assert list(h1.terms) == list(h2.terms)
+def test_interpolate_and_prune_match_dict_reference(well):
+    """Array interpolate/prune give the label-dict merge's labels and bytes."""
+    rng = np.random.default_rng(17)
+    pairs = [(well.h0_pauli, well.h_pauli)]
+    for n_qubits in (1, 3, 6):
+        pairs.append((random_sum(rng, n_qubits, 4 * n_qubits), random_sum(rng, n_qubits, 4 * n_qubits)))
+    # sub-floor products and exact cancellations
+    pairs.append((from_labels({"II": 0.1, "ZI": 1.5e-12, "XY": 3.0e-12, "XX": -0.2}),
+                  from_labels({"ZI": 0.3, "XX": 0.2, "XY": 1.0e-12})))
+    for h0, h in pairs:
+        for eta in (0.0, 0.3, 0.5, 1.0):
+            got, ref = interpolate(h0, h, eta), reference_interpolate(h0, h, eta)
+            assert got.labels() == ref.labels()
+            assert got.coeffs.tobytes() == ref.coeffs.tobytes()
+            for threshold, drop_diagonal in ((0.0, False), (0.02, False), (0.02, True)):
+                got_p = prune(got, threshold, drop_diagonal)
+                ref_p = reference_prune(ref, threshold, drop_diagonal)
+                assert got_p.labels() == ref_p.labels()
+                assert got_p.coeffs.tobytes() == ref_p.coeffs.tobytes()
+
+
+def test_deterministic_iteration_order(well):
+    terms = {"ZI": 1.0, "IX": 2.0, "XX": 3.0}
+    h1 = from_labels(dict(terms))
+    h2 = from_labels(dict(reversed(list(terms.items()))))
+    assert h1.labels() == h2.labels()
+    # canonical order is label order, qubit 0 first and I < X < Y < Z
+    rng = np.random.default_rng(14)
+    for n_qubits in range(1, 15):
+        terms = {random_label(rng, n_qubits): float(rng.normal()) for _ in range(3 * n_qubits)}
+        items = list(terms.items())
+        for _ in range(3):
+            shuffled = dict(items[i] for i in rng.permutation(len(items)))
+            assert label_terms(from_labels(shuffled, n_qubits)) == sorted(items)
+    # the benchmark's fermion.jordan_wigner.terms counter reads len()
+    assert len(well.h_pauli) == 361
+    assert len(well.h0_pauli) == 9
+
+
+def test_from_masks_rejects_strings_outside_register_and_repeats():
+    for x, z, n_qubits in (([4], [0], 2), ([0], [1 << 3], 3), ([-1], [0], 4)):
+        with pytest.raises(ValueError, match="outside"):
+            PauliSum.from_masks(x, z, [1.0], n_qubits)
+    with pytest.raises(ValueError, match="repeated"):
+        PauliSum.from_masks([1, 1], [2, 2], [1.0, 0.5], 2)
+    # a string dropped at the floor is no repeat
+    assert PauliSum.from_masks([1, 1], [2, 2], [1.0, 1e-13], 2).labels() == ["XZ"]
 
 
 def test_number_and_sz_operators():

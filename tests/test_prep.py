@@ -6,7 +6,7 @@ import pytest
 from cvqelab.fermion import hf_fock_index, jordan_wigner, model_pauli, second_quantize
 from cvqelab.geometry import parse_geometry
 from cvqelab.integrals import compute_integrals
-from cvqelab.pauli import PauliString, PauliSum, interpolate, prune, to_dense
+from cvqelab.pauli import to_dense
 from cvqelab.prep import (
     TERM_ORDERS,
     PrepSchedule,
@@ -20,7 +20,14 @@ from cvqelab.prep import (
 from cvqelab.scf import model_hamiltonian, run_scf, transform_to_mo
 from cvqelab.statevector import StateVector, expectation, init_fock, probabilities
 
-from conftest import apply_pauli_rotation, ordered_terms, reference_prepare_trapezoidal
+from conftest import (
+    apply_pauli_rotation,
+    from_labels,
+    ordered_terms,
+    reference_interpolate,
+    reference_prepare_trapezoidal,
+    reference_prune,
+)
 
 # six hydrogens on a line 0.9 Angstrom apart: H6+ doublet, 12 qubits
 H6_CHAIN = """\
@@ -47,9 +54,11 @@ def full_register_trapezoidal(h0, h, schedule, phi0):
 def per_step_guiding(h0, h, schedule, phi0, trotter):
     """Reference staircase: rebuild, prune and order each step's PauliSum."""
     state = init_fock(phi0, h.n_qubits)
-    identity = PauliString.identity(h.n_qubits)
+    identity = "I" * h.n_qubits
     for eta, scale in schedule.steps:
-        step_h = prune(interpolate(h0, h, eta), trotter.prune_threshold, trotter.drop_diagonal)
+        step_h = reference_prune(
+            reference_interpolate(h0, h, eta), trotter.prune_threshold, trotter.drop_diagonal
+        )
         for string, coeff in ordered_terms(step_h, trotter.term_order):
             angle = coeff * scale
             if string == identity:
@@ -59,13 +68,13 @@ def per_step_guiding(h0, h, schedule, phi0, trotter):
     return state.amplitudes
 
 
-def per_step_circuit_stats(h, schedule, trotter, h0=None):
+def per_step_circuit_stats(h0, h, schedule, trotter):
     """Reference count over each step's rebuilt, pruned PauliSum."""
     per_step, cnots = [], 0
     for eta, _scale in schedule.steps:
-        step_h = interpolate(h0, h, eta) if h0 is not None else h
-        step_h = prune(step_h, trotter.prune_threshold, trotter.drop_diagonal)
-        weights = [s.weight for s in step_h.terms if s.weight > 0]
+        step_h = reference_interpolate(h0, h, eta)
+        step_h = reference_prune(step_h, trotter.prune_threshold, trotter.drop_diagonal)
+        weights = [w for w in (len(s) - s.count("I") for s in step_h.labels()) if w > 0]
         per_step.append(len(weights))
         cnots += sum(2 * (w - 1) for w in weights)
     rotations = sum(per_step)
@@ -107,17 +116,8 @@ def test_vanishing_evolution_returns_start(well):
 
 def test_commuting_hamiltonian_trotter_is_exact():
     # diagonal sums commute term by term, so the split product is exact
-    terms0 = {
-        PauliString.from_label("ZI"): 0.3,
-        PauliString.from_label("II"): 0.1,
-    }
-    terms1 = {
-        PauliString.from_label("IZ"): -0.8,
-        PauliString.from_label("ZZ"): 0.45,
-        PauliString.from_label("II"): -0.2,
-    }
-    h0 = PauliSum.from_terms(terms0, 2)
-    h1 = PauliSum.from_terms(terms1, 2)
+    h0 = from_labels({"ZI": 0.3, "II": 0.1})
+    h1 = from_labels({"IZ": -0.8, "ZZ": 0.45, "II": -0.2})
     sched = build_schedule(4, 0.9)
     # superposition start exposes relative phases
     start = 0
@@ -215,13 +215,15 @@ def test_check_conditions_never_blocks(well):
 
 
 def test_circuit_stats_empty_and_single_term():
-    empty = PauliSum.from_terms({}, 2)
+    empty = from_labels({}, 2)
     sched = build_schedule(1, 1.0)
-    stats = circuit_stats(empty, sched)
+    stats = circuit_stats(empty, empty, sched, TrotterConfig())
     assert stats.total_rotations == 0 and stats.cnot_estimate == 0
 
-    two_qubit = PauliSum.from_terms({PauliString.from_label("XX"): 0.5}, 2)
-    stats = circuit_stats(two_qubit, sched)
+    # at K = 1 the only step is eta = 1, where h0 drops out
+    h0 = from_labels({"ZI": 0.3, "II": 0.1})
+    two_qubit = from_labels({"XX": 0.5})
+    stats = circuit_stats(h0, two_qubit, sched, TrotterConfig())
     assert stats.total_rotations == 1
     assert stats.cnot_estimate == 2
     assert stats.depth_proxy == 3
@@ -230,8 +232,8 @@ def test_circuit_stats_empty_and_single_term():
 def test_circuit_stats_well_pruned(well):
     sched = build_schedule(1, 1.0)
     trotter = TrotterConfig(prune_threshold=0.02, drop_diagonal=True)
-    stats = circuit_stats(well.h_pauli, sched, trotter)
-    full = circuit_stats(well.h_pauli, sched, TrotterConfig())
+    stats = circuit_stats(well.h0_pauli, well.h_pauli, sched, trotter)
+    full = circuit_stats(well.h0_pauli, well.h_pauli, sched, TrotterConfig())
     assert 0 < stats.total_rotations < full.total_rotations
     assert 0 < stats.cnot_estimate < full.cnot_estimate
     assert stats.term_count_per_step == (stats.total_rotations,)
@@ -239,9 +241,7 @@ def test_circuit_stats_well_pruned(well):
 
 def test_circuit_stats_interpolated_steps(well):
     sched = build_schedule(5, 1.0)
-    stats = circuit_stats(
-        well.h_pauli, sched, TrotterConfig(prune_threshold=0.02), h0=well.h0_pauli
-    )
+    stats = circuit_stats(well.h0_pauli, well.h_pauli, sched, TrotterConfig(prune_threshold=0.02))
     assert len(stats.term_count_per_step) == 5
     # early steps are closer to the diagonal model: fewer surviving terms
     assert stats.term_count_per_step[0] <= stats.term_count_per_step[-1]
@@ -266,32 +266,26 @@ def test_guiding_matches_per_step_reference(well, order, pruning):
 
 
 @pytest.mark.parametrize("pruning", TROTTER_CASES)
-@pytest.mark.parametrize("with_h0", [False, True])
-def test_circuit_stats_matches_per_step_count(well, pruning, with_h0):
+def test_circuit_stats_matches_per_step_count(well, pruning):
     trotter = TrotterConfig(**pruning)
     sched = build_schedule(5, 1.0)
-    h0 = well.h0_pauli if with_h0 else None
-    stats = circuit_stats(well.h_pauli, sched, trotter, h0=h0)
+    stats = circuit_stats(well.h0_pauli, well.h_pauli, sched, trotter)
     got = (stats.term_count_per_step, stats.total_rotations, stats.cnot_estimate, stats.depth_proxy)
-    assert got == per_step_circuit_stats(well.h_pauli, sched, trotter, h0=h0)
+    assert got == per_step_circuit_stats(well.h0_pauli, well.h_pauli, sched, trotter)
 
 
 def test_staircase_floors_each_interpolated_operand():
     """(1 - eta) h0 and eta h lose their sub-COEFF_FLOOR terms before the sum."""
-    h0 = PauliSum.from_terms(
-        {PauliString.from_label(k): c for k, c in {"II": 0.1, "ZI": 1.5e-12, "XY": 3.0e-12}.items()}, 2
-    )
-    h = PauliSum.from_terms(
-        {PauliString.from_label(k): c for k, c in {"ZI": 0.3, "XX": 0.2, "XY": 1.0e-12}.items()}, 2
-    )
+    h0 = from_labels({"II": 0.1, "ZI": 1.5e-12, "XY": 3.0e-12})
+    h = from_labels({"ZI": 0.3, "XX": 0.2, "XY": 1.0e-12})
     sched = build_schedule(2, 1.0)
     for order in TERM_ORDERS:
         trotter = TrotterConfig(term_order=order)
         psi = prepare_guiding(h0, h, sched, 1, trotter)
         assert np.array_equal(psi.amplitudes, per_step_guiding(h0, h, sched, 1, trotter))
-    stats = circuit_stats(h, sched, TrotterConfig(), h0=h0)
+    stats = circuit_stats(h0, h, sched, TrotterConfig())
     got = (stats.term_count_per_step, stats.total_rotations, stats.cnot_estimate, stats.depth_proxy)
-    assert got == per_step_circuit_stats(h, sched, TrotterConfig(), h0=h0)
+    assert got == per_step_circuit_stats(h0, h, sched, TrotterConfig())
 
 
 def test_trapezoidal_bit_identical_to_dense_reference(h4_hamiltonians):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from cvqelab.pauli import PauliString, PauliSum, to_dense
+from cvqelab.pauli import to_dense
 from cvqelab.prep import PrepSchedule, build_schedule, prepare_trapezoidal
 from cvqelab.statevector import (
     Distribution,
@@ -16,20 +16,19 @@ from cvqelab.statevector import (
     sample_distribution,
 )
 
-from conftest import apply_pauli_rotation, kron_dense, kron_oracle, reference_prepare_trapezoidal
+from conftest import (
+    apply_pauli_rotation,
+    from_labels,
+    kron_dense,
+    kron_oracle,
+    random_sum,
+    reference_prepare_trapezoidal,
+)
 
 
 def random_state(rng, n_qubits) -> StateVector:
     amp = rng.normal(size=1 << n_qubits) + 1j * rng.normal(size=1 << n_qubits)
     return StateVector(amp / np.linalg.norm(amp), n_qubits)
-
-
-def random_sum(rng, n_qubits, n_terms) -> PauliSum:
-    terms = {}
-    for _ in range(n_terms):
-        ops = tuple(rng.choice(("I", "X", "Y", "Z"), size=n_qubits))
-        terms[PauliString(ops)] = float(rng.normal())
-    return PauliSum.from_terms(terms, n_qubits)
 
 
 def taylor_expm_apply(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
@@ -54,13 +53,13 @@ def test_init_fock():
 
 
 def test_rotation_z_is_global_phase_on_zero():
-    psi = apply_pauli_rotation(init_fock(0, 1), PauliString.from_label("Z"), 0.4)
+    psi = apply_pauli_rotation(init_fock(0, 1), "Z", 0.4)
     assert abs(psi.amplitudes[0] - np.exp(-1j * 0.4)) < 1e-14
     assert probabilities(psi).probability(0) == pytest.approx(1.0)
 
 
 def test_rotation_x_quarter_turn():
-    psi = apply_pauli_rotation(init_fock(0, 1), PauliString.from_label("X"), np.pi / 2)
+    psi = apply_pauli_rotation(init_fock(0, 1), "X", np.pi / 2)
     assert abs(psi.amplitudes[1] + 1j) < 1e-14
     assert probabilities(psi).probability(1) == pytest.approx(1.0)
 
@@ -69,7 +68,7 @@ def test_rotation_matches_dense_exponential_oracle():
     rng = np.random.default_rng(12)
     for _ in range(10):
         psi = random_state(rng, 3)
-        string = PauliString(tuple(rng.choice(("I", "X", "Y", "Z"), size=3)))
+        string = "".join(rng.choice(("I", "X", "Y", "Z"), size=3))
         angle = float(rng.normal())
         rotated = apply_pauli_rotation(psi, string, angle)
         oracle = scipy.linalg.expm(-1j * angle * kron_oracle(string)) @ psi.amplitudes
@@ -83,7 +82,7 @@ def test_rotation_unitarity_and_norm():
     strings = []
     angles = []
     for _ in range(30):
-        s = PauliString(tuple(rng.choice(("I", "X", "Y", "Z"), size=4)))
+        s = "".join(rng.choice(("I", "X", "Y", "Z"), size=4))
         a = float(rng.normal())
         strings.append(s)
         angles.append(a)
@@ -96,10 +95,10 @@ def test_rotation_unitarity_and_norm():
 
 def test_exact_exponential_empty_and_diagonal():
     # K = 1 is a single half-step at eta = 1: exp(-i H / (2 hbar_omega))
-    zero = PauliSum.from_terms({}, 1)
+    zero = from_labels({}, 1)
     psi = prepare_trapezoidal(zero, zero, build_schedule(1, 0.25), 1)
     assert np.array_equal(psi.amplitudes, init_fock(1, 1).amplitudes)
-    z = PauliSum.from_terms({PauliString.from_label("Z"): 1.0}, 1)
+    z = from_labels({"Z": 1.0})
     rotated = prepare_trapezoidal(zero, z, build_schedule(1, 0.5 / np.pi), 1)
     assert abs(rotated.amplitudes[1] - np.exp(1j * np.pi)) < 1e-12
     assert rotated.amplitudes[0] == 0.0
