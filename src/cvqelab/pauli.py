@@ -6,8 +6,8 @@ coefficients[j] (Hermitian operators only).  Bit q of a mask is qubit q, the
 q-th least-significant bit of a Fock index.  Terms are kept in canonical
 order, the lexicographic order of their letter labels (qubit 0 first,
 I < X < Y < Z), so iteration order is deterministic.  compile_pauli_action
-is the one Pauli-action kernel: flip-mask groups, rotations and expectations
-all use it.  flip_groups sums H's strings by the qubits they flip; to_dense
+is the one per-string Pauli-action kernel: flip-mask groups and expectations
+use it.  flip_groups sums H's strings by the qubits they flip; to_dense
 and the trapezoidal staircase read their matrix elements from those groups.
 Products are taken over whole mask arrays (symplectic_product), the form
 Jordan-Wigner builds in.

@@ -1,4 +1,4 @@
-"""Dense statevector simulation: Fock states, Pauli rotations, Born
+"""Dense statevector simulation: Fock states, expectations, Born
 probabilities, shot sampling, and a distribution-level noise knob.
 
 Amplitudes are stored contiguously indexed by the Fock integer; qubit 0 is
@@ -75,14 +75,6 @@ def init_fock(n: int, n_qubits: int) -> StateVector:
     amp = np.zeros(dim, dtype=complex)
     amp[n] = 1.0
     return StateVector(amp, n_qubits)
-
-
-def rotate_amplitudes(
-    amplitudes: np.ndarray, compiled: tuple[np.ndarray, np.ndarray], angle: float
-) -> np.ndarray:
-    """exp(-i * angle * P) applied to a raw amplitude array, P given compiled."""
-    source, phase = compiled
-    return np.cos(angle) * amplitudes - 1j * np.sin(angle) * (phase * amplitudes[source])
 
 
 def expectation(state: StateVector, h: PauliSum) -> float:

@@ -15,7 +15,7 @@ from cvqelab.geometry import load_geometry, parse_geometry
 from cvqelab.integrals import compute_integrals
 from cvqelab.pauli import COEFF_FLOOR, PauliSum, compile_pauli_action
 from cvqelab.scf import ConvergenceError, SCFResult, model_hamiltonian, run_scf, transform_to_mo
-from cvqelab.statevector import StateVector, init_fock, probabilities, rotate_amplitudes
+from cvqelab.statevector import StateVector, init_fock, probabilities
 from cvqelab.subspace import embed_optimized, slater_condon
 
 TABLE_STATES = (7, 13, 19, 22, 25, 28, 37, 49, 52, 193, 196, 208)
@@ -98,6 +98,14 @@ def sz_operator(n_qubits: int) -> PauliSum:
         sign = 1.0 if q % 2 == 0 else -1.0
         terms["I" * q + "Z" + "I" * (n_qubits - q - 1)] = -0.25 * sign
     return from_labels(terms)
+
+
+def rotate_amplitudes(
+    amplitudes: np.ndarray, compiled: tuple[np.ndarray, np.ndarray], angle: float
+) -> np.ndarray:
+    """exp(-i * angle * P) applied to a raw amplitude array, P given compiled."""
+    source, phase = compiled
+    return np.cos(angle) * amplitudes - 1j * np.sin(angle) * (phase * amplitudes[source])
 
 
 def apply_pauli_rotation(state: StateVector, label: str, angle: float) -> StateVector:

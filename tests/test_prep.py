@@ -262,7 +262,44 @@ def test_guiding_matches_per_step_reference(well, order, pruning):
     sched = build_schedule(5, 1.0)
     psi = prepare_guiding(well.h0_pauli, well.h_pauli, sched, 7, trotter)
     reference = per_step_guiding(well.h0_pauli, well.h_pauli, sched, 7, trotter)
-    assert np.array_equal(psi.amplitudes, reference)
+    assert np.max(np.abs(psi.amplitudes - reference)) <= 1e-12
+
+
+@pytest.mark.parametrize("order", TERM_ORDERS)
+def test_guiding_matches_per_step_reference_at_regime_a_scale(well, order):
+    """hbar_omega = 10 as in regime A, over 20 steps of the staircase."""
+    trotter = TrotterConfig(term_order=order)
+    sched = build_schedule(20, 10.0)
+    psi = prepare_guiding(well.h0_pauli, well.h_pauli, sched, 7, trotter)
+    reference = per_step_guiding(well.h0_pauli, well.h_pauli, sched, 7, trotter)
+    assert np.max(np.abs(psi.amplitudes - reference)) <= 1e-12
+
+
+# Adjacent strings with one flip mask: XX and XY (and XXI, XYI) anticommute
+# and must stay two rotations; XX and YY (and XYI, XYZ, YXZ) commute and
+# fuse; the {I, Z}-only strings form one diagonal run.  Angles reach about
+# 2 radians.
+FUSION_CASES = {
+    "anticommuting": {"XX": 0.9, "XY": -0.7},
+    "commuting": {"XX": 0.9, "YY": -0.7},
+    "diagonal": {"II": 0.3, "IZ": -0.6, "ZI": 0.8, "ZZ": 0.5},
+    "mixed": {"XXI": 1.1, "XYZ": -0.9, "XYI": 0.9, "YYZ": 0.8, "YXZ": -0.6,
+              "ZZI": 0.7, "IIZ": -0.4, "IZZ": 0.35},
+}
+
+
+@pytest.mark.parametrize("order", TERM_ORDERS)
+@pytest.mark.parametrize("case", FUSION_CASES)
+def test_guiding_fuses_only_commuting_runs(order, case):
+    h = from_labels(FUSION_CASES[case])
+    n_qubits = h.n_qubits
+    h0 = from_labels({"Z" + "I" * (n_qubits - 1): 0.45, "I" * n_qubits: 0.2})
+    sched = build_schedule(3, 0.37)
+    trotter = TrotterConfig(term_order=order)
+    for phi0 in (0, 1):
+        psi = prepare_guiding(h0, h, sched, phi0, trotter)
+        reference = per_step_guiding(h0, h, sched, phi0, trotter)
+        assert np.max(np.abs(psi.amplitudes - reference)) <= 1e-12
 
 
 @pytest.mark.parametrize("pruning", TROTTER_CASES)
@@ -275,14 +312,18 @@ def test_circuit_stats_matches_per_step_count(well, pruning):
 
 
 def test_staircase_floors_each_interpolated_operand():
-    """(1 - eta) h0 and eta h lose their sub-COEFF_FLOOR terms before the sum."""
+    """(1 - eta) h0 and eta h lose their sub-COEFF_FLOOR terms before the sum.
+
+    At hbar_omega = 1e-3 each dropped term would turn the state by about
+    1e-10, far above the 1e-12 agreement asked of the guiding state."""
     h0 = from_labels({"II": 0.1, "ZI": 1.5e-12, "XY": 3.0e-12})
     h = from_labels({"ZI": 0.3, "XX": 0.2, "XY": 1.0e-12})
-    sched = build_schedule(2, 1.0)
+    sched = build_schedule(2, 1e-3)
     for order in TERM_ORDERS:
         trotter = TrotterConfig(term_order=order)
         psi = prepare_guiding(h0, h, sched, 1, trotter)
-        assert np.array_equal(psi.amplitudes, per_step_guiding(h0, h, sched, 1, trotter))
+        reference = per_step_guiding(h0, h, sched, 1, trotter)
+        assert np.max(np.abs(psi.amplitudes - reference)) <= 1e-12
     stats = circuit_stats(h0, h, sched, TrotterConfig())
     got = (stats.term_count_per_step, stats.total_rotations, stats.cnot_estimate, stats.depth_proxy)
     assert got == per_step_circuit_stats(h0, h, sched, TrotterConfig())
@@ -307,22 +348,46 @@ def test_trapezoidal_rejects_fock_index_outside_register(well):
             prepare_trapezoidal(well.h0_pauli, well.h_pauli, schedule, phi0)
 
 
-def test_trapezoidal_h6_chain_memory_guard():
-    """The 12-qubit staircase holds flip-mask rows and 150 x 150 blocks, never
-    a 4096 x 4096 matrix (a dense sector search peaks near 672 MB)."""
+@pytest.fixture(scope="module")
+def h6_chain():
+    """(h0, h, phi0) of the H6+ chain."""
     integrals = compute_integrals(parse_geometry(H6_CHAIN, label="h6_chain"))
     scf = run_scf(integrals, 3, 2)
     h = jordan_wigner(second_quantize(transform_to_mo(integrals, scf)))
-    h0 = model_pauli(model_hamiltonian(scf))
+    return model_pauli(model_hamiltonian(scf)), h, hf_fock_index(3, 2)
+
+
+def traced_peak(prepare, *args):
+    """The state prepare(*args) returns and its tracemalloc peak in bytes."""
     tracemalloc.start()
     try:
-        psi = prepare_trapezoidal(h0, h, build_schedule(2, 1.0), hf_fock_index(3, 2))
+        psi = prepare(*args)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return psi, peak
+
+
+def test_trapezoidal_h6_chain_memory_guard(h6_chain):
+    """The 12-qubit staircase holds flip-mask rows and 150 x 150 blocks, never
+    a 4096 x 4096 matrix (a dense sector search peaks near 672 MB)."""
+    h0, h, phi0 = h6_chain
+    psi, peak = traced_peak(prepare_trapezoidal, h0, h, build_schedule(2, 1.0), phi0)
     assert peak <= 64 << 20
     support = np.flatnonzero(psi.amplitudes)
     assert len(support) == 150
     up = [bin(n & 0x555).count("1") for n in support.tolist()]
     down = [bin(n & 0xAAA).count("1") for n in support.tolist()]
     assert set(zip(up, down)) == {(3, 2)}
+
+
+def test_guiding_h6_chain_memory_guard(h6_chain):
+    """The 12-qubit guiding staircase keeps one gather index per flip mask and
+    one character row per phase mask, about 21 MiB at its peak; a gather
+    index and a phase array for each of the 919 strings would take 87 MiB."""
+    h0, h, phi0 = h6_chain
+    sched = build_schedule(2, 1.0)
+    psi, peak = traced_peak(prepare_guiding, h0, h, sched, phi0)
+    assert peak <= 32 << 20
+    reference = per_step_guiding(h0, h, sched, phi0, TrotterConfig())
+    assert np.max(np.abs(psi.amplitudes - reference)) <= 1e-12
