@@ -11,14 +11,16 @@ per-step exponentials; the guiding state replaces each exponential with an
 ordered product of single-term Pauli rotations (first-order splitting, one
 slice per step).  That order is never changed, but a run of consecutive
 rotations whose strings flip the same qubits and commute pairwise equals
-the one exact exponential of their sum, which is applied in one pass over
-the register.
+the one exact exponential of their sum, which is applied in one pass.  A
+rotation maps |m> only to |m> and |m ^ x>, so the guiding state never
+leaves the coset of phi0 under the span of the executed flip masks; the
+passes run over that coset alone, and the steps are taken in slabs whose
+angles, characters and trigonometry are computed in batches.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import csr_array
@@ -35,8 +37,9 @@ from .statevector import StateVector, init_fock
 
 TERM_ORDERS = ("magnitude_desc", "magnitude_asc", "canonical", "canonical_reversed")
 CONDITION_MARGIN = 0.5
-# entries in each cos or sin row array of one block of runs; bounds the
-# guiding staircase's working memory on large registers
+# entries in each cos or sin array of one block of runs, and about the coset
+# entries times the strings of one slab of steps; bounds the guiding
+# staircase's working memory on large registers
 _BLOCK_AMPLITUDES = 1 << 16
 
 
@@ -168,131 +171,81 @@ def prepare_guiding(
 
     Each step rotates by the terms of prune(interpolate(h0, h, eta)) in the
     configured order; ties in magnitude fall back to canonical order.  The
-    order is unchanged: each maximal run of consecutive strings with the same
-    flip mask x and the same parity of popcount(x & z), so pairwise
-    commuting, is applied as the one exact exponential of its sum, in one
-    pass over the register.
+    order is unchanged, but each maximal run of consecutive strings of one
+    step with the same flip mask x and the same parity of popcount(x & z)
+    commutes pairwise, so it is applied as the one exact exponential of its
+    sum: with A = sum_j theta_j P_j = (-i)^parity diag(r) X^x and real
+    r = sum_j theta_j sign_j chi_{z_j}, where chi_z(m) = (-1)^popcount(m & z)
+    and sign_j = (-1)^(popcount(x & z_j) // 2), A^2 is the diagonal r^2 and
+
+        exp(-iA) psi = cos(r) psi - i (-i)^parity sin(r) psi[m ^ x],
+
+    one pass for every run, the x = 0 runs of diagonal strings included.
+    Every rotation maps |m> only to |m> and |m ^ x>, so the state stays on
+    the coset of phi0 under the span of the executed flip masks, and the
+    passes run over that coset alone.  The steps are taken in slabs of about
+    _BLOCK_AMPLITUDES / coset-size strings; each slab's r comes from one
+    sparse product of its angles with the character rows, and its cos and
+    sin from one batched call per block of runs.
     """
+    start = init_fock(phi0, h.n_qubits).amplitudes
     x, z, coeffs, keep = _staircase(h0, h, schedule, trotter)
-    strings = _FusedStrings(x, z, keep.any(axis=0), h.n_qubits)
-    amp = init_fock(phi0, h.n_qubits).amplitudes
-    plans: dict[bytes, list[_RunBlock]] = {}
-    for (_eta, scale), row, kept in zip(schedule.steps, coeffs, keep):
-        rank = np.flatnonzero(kept)
+    n_y = _popcount(x & z)
+    parity, sign = n_y & 1, 1.0 - 2.0 * ((n_y >> 1) & 1)
+    used = keep.any(axis=0)
+    flips, phases = np.unique(x[used]), np.unique(z[used])
+    members = _flip_span_coset(phi0, flips)
+    flip, phase = np.searchsorted(flips, x), np.searchsorted(phases, z)
+    sources = [np.searchsorted(members, members ^ mask) for mask in flips.tolist()]
+    characters = 1.0 - 2.0 * (_popcount(members & phases[:, None]) & 1)
+    scales = np.array([scale for _eta, scale in schedule.steps])
+    per_block = max(1, _BLOCK_AMPLITUDES // len(members))
+    amp = start[members]
+    # a slab of steps closes at the step that brings the string count to a
+    # multiple of per_block
+    filled = np.cumsum(keep.sum(axis=1)) // per_block
+    for steps in np.split(np.arange(len(keep)), np.flatnonzero(np.diff(filled, prepend=0)) + 1):
+        step, term = np.nonzero(keep[steps])  # canonical order within each step
+        step = steps[step]
+        rows = coeffs[step, term]
         if trotter.term_order == "magnitude_desc":
-            rank = rank[np.lexsort((rank, -np.abs(row[rank])))]
+            order = np.lexsort((term, -np.abs(rows), step))
         elif trotter.term_order == "magnitude_asc":
-            rank = rank[np.lexsort((rank, np.abs(row[rank])))]
+            order = np.lexsort((term, np.abs(rows), step))
         elif trotter.term_order == "canonical_reversed":
-            rank = rank[::-1]
-        key = rank.tobytes()
-        if key not in plans:
-            plans[key] = strings.run_plan(rank)
-        amp = strings.apply(amp, plans[key], row[rank] * scale)
-    return StateVector(amp, h.n_qubits)
+            order = np.lexsort((-term, step))
+        else:
+            order = np.arange(len(term))
+        step, term = step[order], term[order]
+        key = 2 * x[term] + parity[term]
+        starts = np.flatnonzero((np.diff(key, prepend=-1) != 0) | (np.diff(step, prepend=-1) != 0))
+        weights = csr_array(
+            (rows[order] * scales[step] * sign[term], phase[term],
+             np.append(starts, len(term))),
+            shape=(len(starts), len(phases)),
+        )
+        lead = term[starts]
+        factors = np.where(parity[lead] == 1, -1.0 + 0j, -1j)  # -i (-i)^parity
+        gathers = [sources[k] for k in flip[lead].tolist()]
+        for b in range(0, len(starts), per_block):
+            r = weights[b:b + per_block] @ characters
+            # complex cos: numpy multiplies complex by complex faster than by real
+            cos, sin = np.cos(r).astype(complex), factors[b:b + per_block, None] * np.sin(r)
+            for c, s, source in zip(cos, sin, gathers[b:b + per_block]):
+                amp = c * amp + s * amp[source]
+    full = np.zeros_like(start)
+    full[members] = amp
+    return StateVector(full, h.n_qubits)
 
 
-class _RunBlock(NamedTuple):
-    """Consecutive runs of one step's ordered strings.  Positions index the
-    step's angles; factors are -i (-i)^parity, the factor of sin(r)."""
-
-    sources: list             # per run: gather index m ^ x, or None for x = 0
-    order: list               # per run: its row among single runs, then fused ones
-    single_at: np.ndarray     # runs of one string: position of the string,
-    single_phase: np.ndarray  # its character row,
-    single_factor: np.ndarray  # and the factor times its sign
-    fused_at: np.ndarray      # runs of several strings: their positions,
-    fused_sign: np.ndarray    # signs and character rows, grouped by run
-    fused_phase: np.ndarray
-    fused_indptr: np.ndarray  # CSR row pointer of the runs over fused_at
-    fused_factor: np.ndarray
-
-
-class _FusedStrings:
-    """The strings a staircase executes, tabulated to be applied in runs.
-
-    Consecutive strings with equal flip mask x and equal parity
-    popcount(x & z) mod 2 commute, so a run of them is exp(-iA) with
-    A = sum_j theta_j P_j.  Then (A psi)[m] = (-i)^parity r[m] psi[m ^ x]
-    with real r = sum_j theta_j sign_j chi_{z_j}, where chi_z(m) =
-    (-1)^popcount(m & z) and sign_j = (-1)^(popcount(x & z_j) // 2).  A^2 is
-    the diagonal r^2, so exp(-iA) psi = cos(r) psi - i (-i)^parity sin(r)
-    psi[m ^ x]; for x = 0 (diagonal strings and the identity) it is the
-    phase exp(-i r).  The tables hold one gather index per distinct x and
-    one character row chi_z per distinct z.
-    """
-
-    def __init__(self, x: np.ndarray, z: np.ndarray, used: np.ndarray, n_qubits: int):
-        n_y = _popcount(x & z)
-        self.x, self.parity = x, n_y & 1
-        self.sign = 1.0 - 2.0 * ((n_y >> 1) & 1)
-        index = np.arange(1 << n_qubits)
-        flips = np.unique(x[used])
-        self.flip = np.searchsorted(flips, x)
-        self.sources = [index ^ flip for flip in flips.tolist()]
-        phases = np.unique(z[used])
-        self.phase = np.searchsorted(phases, z)
-        odd = np.zeros((len(phases), len(index)), dtype=bool)
-        for q in range(n_qubits):
-            odd ^= np.logical_and.outer((phases >> q) & 1 == 1, (index >> q) & 1 == 1)
-        self.characters = np.where(odd, -1.0, 1.0)
-        self.runs_per_block = max(1, _BLOCK_AMPLITUDES >> n_qubits)
-
-    def run_plan(self, rank: np.ndarray) -> list[_RunBlock]:
-        """The maximal runs of the ordered strings rank, in blocks of at
-        most runs_per_block runs."""
-        key = 2 * self.x[rank] + self.parity[rank]
-        starts = np.flatnonzero(np.diff(key, prepend=-1))
-        lengths = np.diff(np.append(starts, len(rank)))
-        first = rank[starts]
-        sources = [
-            self.sources[k] if flip else None
-            for k, flip in zip(self.flip[first].tolist(), self.x[first].tolist())
-        ]
-        factors = np.where(self.parity[first] == 1, -1.0 + 0j, -1j)
-        blocks = []
-        for b in range(0, len(starts), self.runs_per_block):
-            runs = slice(b, b + self.runs_per_block)
-            single = lengths[runs] == 1
-            single_at = starts[runs][single]
-            fused_at = starts[b] + np.flatnonzero(np.repeat(~single, lengths[runs]))
-            blocks.append(_RunBlock(
-                sources=sources[runs],
-                order=np.argsort(np.argsort(~single, kind="stable")).tolist(),
-                single_at=single_at,
-                single_phase=self.phase[rank[single_at]],
-                single_factor=factors[runs][single] * self.sign[rank[single_at]],
-                fused_at=fused_at,
-                fused_sign=self.sign[rank[fused_at]],
-                fused_phase=self.phase[rank[fused_at]],
-                fused_indptr=np.append(0, np.cumsum(lengths[runs][~single])),
-                fused_factor=factors[runs][~single, None],
-            ))
-        return blocks
-
-    def apply(self, amp: np.ndarray, plan: list[_RunBlock], angles: np.ndarray) -> np.ndarray:
-        """The runs of plan applied in order, the string at position j of the
-        step turned by angles[j]."""
-        for block in plan:
-            # a run of one string has r = sign theta chi_z: cos(r) = cos(theta)
-            # and sin(r) = sign sin(theta) chi_z need no trigonometry over the
-            # register, which costs more than the pass that applies the run
-            theta = angles[block.single_at]
-            weights = csr_array(
-                (angles[block.fused_at] * block.fused_sign, block.fused_phase,
-                 block.fused_indptr),
-                shape=(len(block.fused_factor), len(self.characters)),
-            )
-            r = weights @ self.characters
-            cos = np.cos(theta).tolist() + list(np.cos(r))
-            sin = list(
-                (block.single_factor * np.sin(theta))[:, None]
-                * self.characters[block.single_phase]
-            ) + list(block.fused_factor * np.sin(r))
-            for k, source in zip(block.order, block.sources):
-                c, s = cos[k], sin[k]
-                amp = (c + s) * amp if source is None else c * amp + s * amp[source]
-        return amp
+def _flip_span_coset(phi0: int, flips: np.ndarray) -> np.ndarray:
+    """Ascending members of phi0 ^ span_F2(flips): every Fock index that a
+    product of the flip masks reaches from phi0."""
+    members = np.array([phi0])
+    for mask in flips.tolist():
+        if not (members == phi0 ^ mask).any():
+            members = np.concatenate((members, members ^ mask))
+    return np.sort(members)
 
 
 def check_conditions(K: int, hbar_omega: float, omega0: float) -> ConditionReport:

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from cvqelab.fci import enumerate_sector
 from cvqelab.fermion import hf_fock_index, jordan_wigner, model_pauli, second_quantize
 from cvqelab.geometry import parse_geometry
 from cvqelab.integrals import compute_integrals
@@ -277,14 +278,16 @@ def test_guiding_matches_per_step_reference_at_regime_a_scale(well, order):
 
 # Adjacent strings with one flip mask: XX and XY (and XXI, XYI) anticommute
 # and must stay two rotations; XX and YY (and XYI, XYZ, YXZ) commute and
-# fuse; the {I, Z}-only strings form one diagonal run.  Angles reach about
-# 2 radians.
+# fuse; the {I, Z}-only strings form one diagonal run.  The flips of XI and
+# IX span the whole register, so the coset of phi0 is all four states.
+# Angles reach about 2 radians.
 FUSION_CASES = {
     "anticommuting": {"XX": 0.9, "XY": -0.7},
     "commuting": {"XX": 0.9, "YY": -0.7},
     "diagonal": {"II": 0.3, "IZ": -0.6, "ZI": 0.8, "ZZ": 0.5},
     "mixed": {"XXI": 1.1, "XYZ": -0.9, "XYI": 0.9, "YYZ": 0.8, "YXZ": -0.6,
               "ZZI": 0.7, "IIZ": -0.4, "IZZ": 0.35},
+    "full_span": {"XI": 0.6, "IX": -0.4, "ZZ": 0.3},
 }
 
 
@@ -300,6 +303,40 @@ def test_guiding_fuses_only_commuting_runs(order, case):
         psi = prepare_guiding(h0, h, sched, phi0, trotter)
         reference = per_step_guiding(h0, h, sched, phi0, trotter)
         assert np.max(np.abs(psi.amplitudes - reference)) <= 1e-12
+
+
+def test_guiding_all_pruned_returns_start(well):
+    """A threshold above every |coefficient| executes no rotation: the guiding
+    state is |phi0> exactly."""
+    threshold = 1.0 + max(np.abs(well.h0_pauli.coeffs).max(), np.abs(well.h_pauli.coeffs).max())
+    trotter = TrotterConfig(prune_threshold=threshold)
+    sched = build_schedule(5, 1.0)
+    psi = prepare_guiding(well.h0_pauli, well.h_pauli, sched, 7, trotter)
+    assert psi.amplitudes.tobytes() == init_fock(7, 8).amplitudes.tobytes()
+    stats = circuit_stats(well.h0_pauli, well.h_pauli, sched, trotter)
+    assert stats.term_count_per_step == (0,) * 5
+    assert stats.total_rotations == stats.cnot_estimate == stats.depth_proxy == 0
+
+
+def test_guiding_support_inside_flip_span_coset(well):
+    """Each rotation maps |m> to |m> and |m ^ x>, so pGD lives on phi0 xor the
+    span of the flip masks: 64 of the well's 256 indices, exact zeros on the
+    other 192.  The coset is wider than the (N_alpha, N_beta) sector, and the
+    guiding state leaks out of the sector into the rest of it."""
+    coset = {7}
+    for x_mask in set(well.h_pauli.x.tolist()) | set(well.h0_pauli.x.tolist()):
+        coset |= {m ^ x_mask for m in coset}
+    assert len(coset) == 64
+    for order in TERM_ORDERS:
+        psi = prepare_guiding(
+            well.h0_pauli, well.h_pauli, build_schedule(20, 10.0), 7, TrotterConfig(term_order=order)
+        )
+        support = set(probabilities(psi).probs)
+        assert support <= coset, order
+        outside = np.ones(256, dtype=bool)
+        outside[sorted(coset)] = False
+        assert not psi.amplitudes[outside].any(), order
+        assert support - set(enumerate_sector(8, 2, 1).determinants), order
 
 
 @pytest.mark.parametrize("pruning", TROTTER_CASES)
@@ -342,10 +379,13 @@ def test_trapezoidal_bit_identical_to_dense_reference(h4_hamiltonians):
 
 
 def test_trapezoidal_rejects_fock_index_outside_register(well):
+    """Both staircases check phi0's range before building anything from it
+    (the guiding state's coset is built from phi0)."""
     schedule = build_schedule(1, 1.0)
-    for phi0 in (-1, 256):
-        with pytest.raises(ValueError):
-            prepare_trapezoidal(well.h0_pauli, well.h_pauli, schedule, phi0)
+    for prepare in (prepare_trapezoidal, prepare_guiding):
+        for phi0 in (-1, 256):
+            with pytest.raises(ValueError, match="outside"):
+                prepare(well.h0_pauli, well.h_pauli, schedule, phi0)
 
 
 @pytest.fixture(scope="module")
@@ -382,12 +422,16 @@ def test_trapezoidal_h6_chain_memory_guard(h6_chain):
 
 
 def test_guiding_h6_chain_memory_guard(h6_chain):
-    """The 12-qubit guiding staircase keeps one gather index per flip mask and
-    one character row per phase mask, about 21 MiB at its peak; a gather
-    index and a phase array for each of the 919 strings would take 87 MiB."""
+    """The 12-qubit guiding staircase runs on the 512 of 4096 Fock indices
+    that phi0's flip-span coset holds: a gather index per flip mask and a
+    character row per phase mask over the coset, and cos and sin rows of at
+    most 2^16 entries per block of runs, about 7.5 MiB at its peak.  Every
+    term order agrees with the per-rotation reference."""
     h0, h, phi0 = h6_chain
     sched = build_schedule(2, 1.0)
-    psi, peak = traced_peak(prepare_guiding, h0, h, sched, phi0)
-    assert peak <= 32 << 20
-    reference = per_step_guiding(h0, h, sched, phi0, TrotterConfig())
-    assert np.max(np.abs(psi.amplitudes - reference)) <= 1e-12
+    for order in TERM_ORDERS:
+        trotter = TrotterConfig(term_order=order)
+        psi, peak = traced_peak(prepare_guiding, h0, h, sched, phi0, trotter)
+        assert peak <= 16 << 20, order
+        reference = per_step_guiding(h0, h, sched, phi0, trotter)
+        assert np.max(np.abs(psi.amplitudes - reference)) <= 1e-12, order
