@@ -12,12 +12,17 @@ closed shells:
 
 Charged clusters with separated fragments admit several SCF solutions whose
 occupation character differs (which fragment holds the unpaired electron),
-and the ground solution need not be aufbau.  run_scf therefore converges one
-candidate per frontier occupation pattern, locking each pattern in by
-maximum-overlap assignment between iterations, and returns the lowest
-converged solution.  Orbitals come back canonicalized within occupation
-blocks and ordered doubly-occupied, singly-occupied, virtual; for aufbau
-ground states this coincides with ascending orbital energy.
+and the ground solution need not be aufbau.  run_scf therefore seeds one
+candidate per frontier occupation pattern from the core guess and converges
+them all in lockstep: their orbitals form one (P, n, n) stack, so each DIIS
+iteration is one stacked numpy call per step for every pattern still
+running, and a pattern leaves the stack on the iteration it converges.
+Maximum-overlap assignment locks each pattern's occupation between
+iterations.  Every pattern's arithmetic, and so every bit of its result,
+is what converging it alone gives; the lowest converged solution wins, in
+pattern order.  Orbitals come back canonicalized within occupation blocks
+and ordered doubly-occupied, singly-occupied, virtual; for aufbau ground
+states this coincides with ascending orbital energy.
 """
 
 from __future__ import annotations
@@ -115,117 +120,167 @@ def run_scf(integrals: IntegralSet, n_alpha: int, n_beta: int) -> SCFResult:
     # the same for every pattern: orthogonalizer for the DIIS error, core guess
     x = scipy.linalg.fractional_matrix_power(integrals.overlap, -0.5).real
     _, c0 = scipy.linalg.eigh(integrals.core, integrals.overlap)
+    patterns = _candidate_patterns(integrals.n_ao, n_docc, n_socc, OCCUPATION_WINDOW)
 
     best: tuple[float, SCFResult] | None = None
     last_error: ConvergenceError | None = None
-    for docc, socc in _candidate_patterns(integrals.n_ao, n_docc, n_socc, OCCUPATION_WINDOW):
-        try:
-            result = _converge_pattern(integrals, n_alpha, n_beta, docc, socc, x, c0)
-        except ConvergenceError as err:
-            last_error = err
-            continue
-        if best is None or result.e_hf < best[0] - 1e-12:
-            best = (result.e_hf, result)
+    for outcome in _converge_patterns(integrals, n_alpha, n_beta, patterns, x, c0):
+        if isinstance(outcome, ConvergenceError):
+            last_error = outcome
+        elif best is None or outcome.e_hf < best[0] - 1e-12:
+            best = (outcome.e_hf, outcome)
     if best is None:
         raise last_error if last_error is not None else ConvergenceError(0, np.inf)
     return best[1]
 
 
-def _converge_pattern(
+def _converge_patterns(
     integrals: IntegralSet,
     n_alpha: int,
     n_beta: int,
-    docc_seed: tuple[int, ...],
-    socc_seed: tuple[int, ...],
+    patterns: list[tuple[tuple[int, ...], tuple[int, ...]]],
     x: np.ndarray,
     c0: np.ndarray,
-) -> SCFResult:
+) -> list[SCFResult | ConvergenceError]:
+    """Iterate every pattern in lockstep; one outcome per pattern, in pattern order.
+
+    The active patterns' orbitals are one (P, n_ao, n_ao) stack with columns
+    ordered docc | socc | virt.  A pattern leaves the stack on the iteration
+    it converges, so the active ones have all run equally many iterations
+    and share one DIIS window length.  Each pattern's arithmetic is exactly
+    what it would be run alone: only the generalized eigensolve and a
+    singular DIIS system are handled one pattern at a time.
+    """
     s, h, eri = integrals.overlap, integrals.core, integrals.eri
     n_ao = integrals.n_ao
     n_docc, n_socc = n_beta, n_alpha - n_beta
+    outcomes: list[SCFResult | ConvergenceError | None] = [None] * len(patterns)
 
-    docc_c = c0[:, list(docc_seed)]
-    socc_c = c0[:, list(socc_seed)]
-    virt_c = c0[:, [i for i in range(n_ao) if i not in docc_seed and i not in socc_seed]]
-
-    energy = 0.0
-    delta = np.inf
-    focks: list[np.ndarray] = []
-    errors: list[np.ndarray] = []
-    overlaps = np.zeros((0, 0))  # DIIS B block: overlaps[i, j] = sum(errors[i] * errors[j])
+    seeds = [
+        docc + socc + tuple(i for i in range(n_ao) if i not in docc and i not in socc)
+        for docc, socc in patterns
+    ]
+    c = _gather_columns(c0[None], np.array(seeds))
+    active = np.arange(len(patterns))
+    energy = np.zeros(len(patterns))
+    delta = np.full(len(patterns), np.inf)
+    focks = np.empty((len(patterns), 0, n_ao, n_ao))
+    errors = np.empty_like(focks)
+    overlaps = np.empty((len(patterns), 0, 0))  # DIIS B block per pattern
     for iteration in range(1, MAX_ITERATIONS + 1):
-        c_occ_a = np.hstack([docc_c, socc_c]) if n_socc else docc_c
-        d_a = c_occ_a @ c_occ_a.T
-        d_b = docc_c @ docc_c.T if n_docc else np.zeros_like(s)
+        c_occ_a = c[:, :, :n_alpha]
+        docc_c = c[:, :, :n_docc]
+        d_a = c_occ_a @ c_occ_a.transpose(0, 2, 1)
+        d_b = docc_c @ docc_c.transpose(0, 2, 1) if n_docc else np.zeros_like(d_a)
         d_t = d_a + d_b
-        j_t = np.einsum("pqrs,rs->pq", eri, d_t)
-        k_a = np.einsum("prqs,rs->pq", eri, d_a)
-        k_b = np.einsum("prqs,rs->pq", eri, d_b)
+        j_t = np.einsum("pqrs,brs->bpq", eri, d_t)
+        k_a = np.einsum("prqs,brs->bpq", eri, d_a)
+        k_b = np.einsum("prqs,brs->bpq", eri, d_b)
         f_a = h + j_t - k_a
         f_b = h + j_t - k_b
         new_energy = 0.5 * (
-            np.sum(d_t * h) + np.sum(d_a * f_a) + np.sum(d_b * f_b)
+            _matrix_sums(d_t * h) + _matrix_sums(d_a * f_a) + _matrix_sums(d_b * f_b)
         ) + integrals.e_nuc
 
-        c_all = np.hstack([docc_c, socc_c, virt_c])
-        f_eff = _roothaan_fock(f_a, f_b, c_all, s, n_docc, n_socc)
+        f_eff = _roothaan_fock(f_a, f_b, c, s, n_docc, n_socc)
         error = x.T @ (f_eff @ d_t @ s - s @ d_t @ f_eff) @ x
-        comm_norm = float(np.linalg.norm(error))
-        delta = abs(new_energy - energy)
+        comm_norm = np.linalg.norm(error, axis=(1, 2))
+        delta = np.abs(new_energy - energy)
         energy = new_energy
-        if iteration > 1 and delta < ENERGY_TOL and comm_norm < COMMUTATOR_TOL:
-            return _finalize(
-                integrals, f_a, f_b, docc_c, socc_c, virt_c,
-                float(energy), n_alpha, n_beta, iteration,
-            )
+        if iteration > 1:
+            done = (delta < ENERGY_TOL) & (comm_norm < COMMUTATOR_TOL)
+            if done.any():
+                for i in np.flatnonzero(done):
+                    outcomes[active[i]] = _finalize(
+                        integrals, f_a[i], f_b[i], c[i],
+                        float(energy[i]), n_alpha, n_beta, iteration,
+                    )
+                keep = ~done
+                if not keep.any():
+                    return outcomes
+                active, c, energy, delta, f_eff, error = (
+                    a[keep] for a in (active, c, energy, delta, f_eff, error)
+                )
+                focks, errors, overlaps = focks[keep], errors[keep], overlaps[keep]
 
-        focks.append(f_eff)
-        errors.append(error)
-        grown = np.empty((len(errors), len(errors)))
-        grown[:-1, :-1] = overlaps
-        grown[-1] = grown[:, -1] = [np.sum(e * error) for e in errors]
+        focks = np.concatenate([focks, f_eff[:, None]], axis=1)
+        errors = np.concatenate([errors, error[:, None]], axis=1)
+        window = focks.shape[1]
+        row = _matrix_sums(errors * error[:, None])
+        grown = np.empty((len(active), window, window))
+        grown[:, :-1, :-1] = overlaps
+        grown[:, -1] = grown[:, :, -1] = row
         overlaps = grown
-        if len(focks) > DIIS_SIZE:
-            focks.pop(0)
-            errors.pop(0)
-            overlaps = overlaps[1:, 1:]
+        if window > DIIS_SIZE:
+            focks, errors, overlaps = focks[:, 1:], errors[:, 1:], overlaps[:, 1:, 1:]
         f_use = f_eff
-        if len(focks) > 1:
+        if focks.shape[1] > 1:
             f_use = _diis_extrapolate(focks, overlaps)
 
-        eps_new, c_new = scipy.linalg.eigh(f_use, s)
-        docc_c, socc_c, virt_c = _assign_by_overlap(
-            c_new, eps_new, s, docc_c, socc_c, n_docc, n_socc
-        )
-    raise ConvergenceError(MAX_ITERATIONS, delta)
+        eps_new, c_new = _generalized_eigh(f_use, s)
+        c = _assign_by_overlap(c_new, eps_new, s, c, n_docc, n_socc)
+    for i, p in enumerate(active):
+        outcomes[p] = ConvergenceError(MAX_ITERATIONS, delta[i])
+    return outcomes
+
+
+def _matrix_sums(a: np.ndarray) -> np.ndarray:
+    """np.sum of each trailing matrix, summed in the order np.sum uses on it alone."""
+    return a.reshape(*a.shape[:-2], -1).sum(axis=-1)
+
+
+def _generalized_eigh(f: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """scipy.linalg.eigh(f[i], s) for each stacked f[i]: its finite check once
+    for the stack, then its LAPACK driver (dsygvd, lower triangle) per matrix."""
+    if not np.isfinite(f).all():
+        raise ValueError("array must not contain infs or NaNs")
+    eps = np.empty(f.shape[:2])
+    vecs = np.empty_like(f)
+    for i, f_i in enumerate(f):
+        eps[i], vecs[i], info = scipy.linalg.lapack.dsygvd(f_i, s)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"dsygvd failed (info = {info})")
+    return eps, vecs
 
 
 def _assign_by_overlap(
     c_new: np.ndarray,
     eps_new: np.ndarray,
     s: np.ndarray,
-    docc_prev: np.ndarray,
-    socc_prev: np.ndarray,
+    c_prev: np.ndarray,
     n_docc: int,
     n_socc: int,
-):
-    """Lock occupation character: classify new orbitals by projection onto the
-    previous doubly- and singly-occupied spaces."""
-    n_mo = c_new.shape[1]
-    w_docc = (
-        np.linalg.norm(docc_prev.T @ s @ c_new, axis=0) if n_docc else np.zeros(n_mo)
+) -> np.ndarray:
+    """Lock occupation character: reorder each pattern's new orbitals into
+    docc | socc | virt by projection onto its previous doubly- and
+    singly-occupied spaces.
+
+    The n_docc orbitals of largest docc weight (ties: lower index) are
+    doubly occupied; of the rest, the n_socc of largest socc weight (ties:
+    lower energy, then index) are singly occupied.  Both blocks are ordered
+    by energy, ties kept in pick order; virtuals keep index order.
+    """
+    n_mo = c_new.shape[-1]
+    n_occ = n_docc + n_socc
+    w_docc, w_socc = (
+        np.linalg.norm(np.swapaxes(c_prev[:, :, lo:hi], 1, 2) @ s @ c_new, axis=1)
+        for lo, hi in ((0, n_docc), (n_docc, n_occ))
     )
-    w_socc = (
-        np.linalg.norm(socc_prev.T @ s @ c_new, axis=0) if n_socc else np.zeros(n_mo)
-    )
-    order_d = np.argsort(-w_docc, kind="stable")
-    docc_pick = sorted(order_d[:n_docc], key=lambda i: eps_new[i])
-    remaining = [i for i in range(n_mo) if i not in set(order_d[:n_docc])]
-    remaining.sort(key=lambda i: (-w_socc[i], eps_new[i]))
-    socc_pick = sorted(remaining[:n_socc], key=lambda i: eps_new[i])
-    taken = set(docc_pick) | set(socc_pick)
-    virt_pick = [i for i in range(n_mo) if i not in taken]
-    return c_new[:, docc_pick], c_new[:, socc_pick], c_new[:, virt_pick]
+    # argsort of a permutation is its inverse: the rank of each orbital
+    rank_d = np.argsort(np.argsort(-w_docc, axis=1, kind="stable"), axis=1)
+    is_docc = rank_d < n_docc
+    rank_s = np.argsort(np.lexsort((eps_new, -w_socc, is_docc)), axis=1)
+    is_socc = ~is_docc & (rank_s < n_socc)
+    block = np.where(is_docc, 0, np.where(is_socc, 1, 2))
+    tiebreak = np.where(is_docc, rank_d, np.where(is_socc, rank_s, np.arange(n_mo)))
+    order = np.lexsort((tiebreak, eps_new, block))
+    return _gather_columns(c_new, order)
+
+
+def _gather_columns(c: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """Contiguous (P, n, m) stack with out[i, :, k] = c[i, :, order[i, k]]."""
+    n_pat, n_rows = c.shape[:2]
+    return c[np.arange(n_pat)[:, None, None], np.arange(n_rows)[:, None], order[:, None, :]]
 
 
 def _roothaan_fock(
@@ -236,42 +291,56 @@ def _roothaan_fock(
     n_docc: int,
     n_socc: int,
 ) -> np.ndarray:
-    fa_mo = c.T @ f_a @ c
-    fb_mo = c.T @ f_b @ c
+    """Roothaan's effective Fock matrix; f_a, f_b and c may be (n, n) or stacked."""
+    c_t = np.swapaxes(c, -1, -2)
+    fa_mo = c_t @ f_a @ c
+    fb_mo = c_t @ f_b @ c
     f_mo = 0.5 * (fa_mo + fb_mo)
     n_occ = n_docc + n_socc
     cl = slice(0, n_docc)
     op = slice(n_docc, n_occ)
     vi = slice(n_occ, None)
-    f_mo[cl, op] = fb_mo[cl, op]
-    f_mo[op, cl] = fb_mo[op, cl]
-    f_mo[op, vi] = fa_mo[op, vi]
-    f_mo[vi, op] = fa_mo[vi, op]
+    f_mo[..., cl, op] = fb_mo[..., cl, op]
+    f_mo[..., op, cl] = fb_mo[..., op, cl]
+    f_mo[..., op, vi] = fa_mo[..., op, vi]
+    f_mo[..., vi, op] = fa_mo[..., vi, op]
     sc = s @ c
-    return sc @ f_mo @ sc.T
+    return sc @ f_mo @ np.swapaxes(sc, -1, -2)
 
 
-def _diis_extrapolate(focks: list[np.ndarray], overlaps: np.ndarray) -> np.ndarray:
-    n = len(focks)
-    b = -np.ones((n + 1, n + 1))
-    b[n, n] = 0.0
-    b[:n, :n] = overlaps
-    rhs = np.zeros(n + 1)
-    rhs[n] = -1.0
+def _diis_extrapolate(focks: np.ndarray, overlaps: np.ndarray) -> np.ndarray:
+    """Pulay DIIS on stacked (P, W, n, n) Fock histories; a pattern whose B
+    matrix is singular keeps its latest Fock matrix."""
+    n_pat, n = overlaps.shape[:2]
+    b = -np.ones((n_pat, n + 1, n + 1))
+    b[:, n, n] = 0.0
+    b[:, :n, :n] = overlaps
+    rhs = np.zeros((n_pat, n + 1, 1))
+    rhs[:, n] = -1.0
+    singular = np.zeros(n_pat, dtype=bool)
     try:
-        weights = np.linalg.solve(b, rhs)[:n]
+        weights = np.linalg.solve(b, rhs)[:, :n, 0]
     except np.linalg.LinAlgError:
-        return focks[-1]
-    return sum(w * f for w, f in zip(weights, focks))
+        weights = np.zeros((n_pat, n))
+        for i in range(n_pat):
+            try:
+                weights[i] = np.linalg.solve(b[i], rhs[i, :, 0])[:n]
+            except np.linalg.LinAlgError:
+                singular[i] = True
+    terms = weights[:, :, None, None] * focks
+    # accumulated oldest first, from 0, as sum() over one window would
+    f_use = 0.0 + terms[:, 0]
+    for k in range(1, n):
+        f_use += terms[:, k]
+    f_use[singular] = focks[singular, -1]
+    return f_use
 
 
 def _finalize(
     integrals: IntegralSet,
     f_a: np.ndarray,
     f_b: np.ndarray,
-    docc_c: np.ndarray,
-    socc_c: np.ndarray,
-    virt_c: np.ndarray,
+    c_all: np.ndarray,
     energy: float,
     n_alpha: int,
     n_beta: int,
@@ -280,14 +349,16 @@ def _finalize(
     """Canonicalize within occupation blocks and fix deterministic column signs."""
     s = integrals.overlap
     n_docc, n_socc = n_beta, n_alpha - n_beta
-    c_all = np.hstack([docc_c, socc_c, virt_c])
     f_eff = _roothaan_fock(f_a, f_b, c_all, s, n_docc, n_socc)
 
     blocks = []
     eps_blocks = []
-    for block in (docc_c, socc_c, virt_c):
+    for block in np.split(c_all, [n_docc, n_docc + n_socc], axis=1):
         if block.shape[1] == 0:
             continue
+        # contiguous: on a strided one-column view, block.T @ f_eff @ block
+        # ends in a strided dot product, which rounds differently
+        block = np.ascontiguousarray(block)
         f_block = block.T @ f_eff @ block
         w, u = np.linalg.eigh(f_block)
         blocks.append(block @ u)

@@ -12,7 +12,7 @@ from cvqelab.fermion import (
     second_quantize,
 )
 from cvqelab.geometry import load_geometry, parse_geometry
-from cvqelab.integrals import compute_integrals
+from cvqelab.integrals import IntegralSet, compute_integrals
 from cvqelab.pauli import COEFF_FLOOR, PauliSum, compile_pauli_action
 from cvqelab.scf import ConvergenceError, SCFResult, model_hamiltonian, run_scf, transform_to_mo
 from cvqelab.statevector import StateVector, init_fock, probabilities
@@ -337,26 +337,37 @@ def reference_jordan_wigner(sq: SecondQuantizedHamiltonian) -> PauliSum:
 
 
 def reference_run_scf(integrals, n_alpha: int, n_beta: int) -> SCFResult:
-    """scf.run_scf with every pattern paying for its own orthogonalizer and
-    core guess, and the whole DIIS B matrix rebuilt each iteration: the
-    reference that run_scf is tested against for bit-identical output."""
-    n_docc, n_socc = n_beta, n_alpha - n_beta
+    """scf.run_scf with every pattern converged on its own, paying for its own
+    orthogonalizer and core guess, and the whole DIIS B matrix rebuilt each
+    iteration: the reference that run_scf is tested against for bit-identical
+    output.  It shares no stacked code with run_scf."""
     best = None
     last_error = None
-    patterns = scf_module._candidate_patterns(
-        integrals.n_ao, n_docc, n_socc, scf_module.OCCUPATION_WINDOW
-    )
-    for docc, socc in patterns:
-        try:
-            result = _reference_converge_pattern(integrals, n_alpha, n_beta, docc, socc)
-        except ConvergenceError as err:
-            last_error = err
-            continue
-        if best is None or result.e_hf < best[0] - 1e-12:
-            best = (result.e_hf, result)
+    for outcome in reference_pattern_outcomes(integrals, n_alpha, n_beta):
+        if isinstance(outcome, ConvergenceError):
+            last_error = outcome
+        elif best is None or outcome.e_hf < best[0] - 1e-12:
+            best = (outcome.e_hf, outcome)
     if best is None:
         raise last_error if last_error is not None else ConvergenceError(0, np.inf)
     return best[1]
+
+
+def reference_pattern_outcomes(integrals, n_alpha: int, n_beta: int) -> list:
+    """SCFResult or ConvergenceError of each occupation pattern, in pattern order."""
+    n_docc, n_socc = n_beta, n_alpha - n_beta
+    patterns = scf_module._candidate_patterns(
+        integrals.n_ao, n_docc, n_socc, scf_module.OCCUPATION_WINDOW
+    )
+    outcomes = []
+    for docc, socc in patterns:
+        try:
+            outcomes.append(
+                _reference_converge_pattern(integrals, n_alpha, n_beta, docc, socc)
+            )
+        except ConvergenceError as err:
+            outcomes.append(err)
+    return outcomes
 
 
 def _reference_coulomb_exchange(eri, density):
@@ -395,7 +406,7 @@ def _reference_converge_pattern(integrals, n_alpha, n_beta, docc_seed, socc_seed
         ) + integrals.e_nuc
 
         c_all = np.hstack([docc_c, socc_c, virt_c])
-        f_eff = scf_module._roothaan_fock(f_a, f_b, c_all, s, n_docc, n_socc)
+        f_eff = _reference_roothaan_fock(f_a, f_b, c_all, s, n_docc, n_socc)
         error = x.T @ (f_eff @ d_t @ s - s @ d_t @ f_eff) @ x
         comm_norm = float(np.linalg.norm(error))
         delta = abs(new_energy - energy)
@@ -405,7 +416,7 @@ def _reference_converge_pattern(integrals, n_alpha, n_beta, docc_seed, socc_seed
             and delta < scf_module.ENERGY_TOL
             and comm_norm < scf_module.COMMUTATOR_TOL
         ):
-            return scf_module._finalize(
+            return _reference_finalize(
                 integrals, f_a, f_b, docc_c, socc_c, virt_c,
                 float(energy), n_alpha, n_beta, iteration,
             )
@@ -420,7 +431,7 @@ def _reference_converge_pattern(integrals, n_alpha, n_beta, docc_seed, socc_seed
             f_use = _reference_diis_extrapolate(focks, errors)
 
         eps_new, c_new = scipy.linalg.eigh(f_use, s)
-        docc_c, socc_c, virt_c = scf_module._assign_by_overlap(
+        docc_c, socc_c, virt_c = _reference_assign_by_overlap(
             c_new, eps_new, s, docc_c, socc_c, n_docc, n_socc
         )
     raise ConvergenceError(scf_module.MAX_ITERATIONS, delta)
@@ -440,6 +451,106 @@ def _reference_diis_extrapolate(focks, errors):
     except np.linalg.LinAlgError:
         return focks[-1]
     return sum(w * f for w, f in zip(weights, focks))
+
+
+# Single-pattern forms of scf's stacked helpers, so that reference_run_scf
+# shares no code with what it checks.
+
+
+def _reference_assign_by_overlap(
+    c_new: np.ndarray,
+    eps_new: np.ndarray,
+    s: np.ndarray,
+    docc_prev: np.ndarray,
+    socc_prev: np.ndarray,
+    n_docc: int,
+    n_socc: int,
+):
+    """Lock occupation character: classify new orbitals by projection onto the
+    previous doubly- and singly-occupied spaces."""
+    n_mo = c_new.shape[1]
+    w_docc = (
+        np.linalg.norm(docc_prev.T @ s @ c_new, axis=0) if n_docc else np.zeros(n_mo)
+    )
+    w_socc = (
+        np.linalg.norm(socc_prev.T @ s @ c_new, axis=0) if n_socc else np.zeros(n_mo)
+    )
+    order_d = np.argsort(-w_docc, kind="stable")
+    docc_pick = sorted(order_d[:n_docc], key=lambda i: eps_new[i])
+    remaining = [i for i in range(n_mo) if i not in set(order_d[:n_docc])]
+    remaining.sort(key=lambda i: (-w_socc[i], eps_new[i]))
+    socc_pick = sorted(remaining[:n_socc], key=lambda i: eps_new[i])
+    taken = set(docc_pick) | set(socc_pick)
+    virt_pick = [i for i in range(n_mo) if i not in taken]
+    return c_new[:, docc_pick], c_new[:, socc_pick], c_new[:, virt_pick]
+
+
+def _reference_roothaan_fock(
+    f_a: np.ndarray,
+    f_b: np.ndarray,
+    c: np.ndarray,
+    s: np.ndarray,
+    n_docc: int,
+    n_socc: int,
+) -> np.ndarray:
+    fa_mo = c.T @ f_a @ c
+    fb_mo = c.T @ f_b @ c
+    f_mo = 0.5 * (fa_mo + fb_mo)
+    n_occ = n_docc + n_socc
+    cl = slice(0, n_docc)
+    op = slice(n_docc, n_occ)
+    vi = slice(n_occ, None)
+    f_mo[cl, op] = fb_mo[cl, op]
+    f_mo[op, cl] = fb_mo[op, cl]
+    f_mo[op, vi] = fa_mo[op, vi]
+    f_mo[vi, op] = fa_mo[vi, op]
+    sc = s @ c
+    return sc @ f_mo @ sc.T
+
+
+def _reference_finalize(
+    integrals: IntegralSet,
+    f_a: np.ndarray,
+    f_b: np.ndarray,
+    docc_c: np.ndarray,
+    socc_c: np.ndarray,
+    virt_c: np.ndarray,
+    energy: float,
+    n_alpha: int,
+    n_beta: int,
+    iterations: int,
+) -> SCFResult:
+    """Canonicalize within occupation blocks and fix deterministic column signs."""
+    s = integrals.overlap
+    n_docc, n_socc = n_beta, n_alpha - n_beta
+    c_all = np.hstack([docc_c, socc_c, virt_c])
+    f_eff = _reference_roothaan_fock(f_a, f_b, c_all, s, n_docc, n_socc)
+
+    blocks = []
+    eps_blocks = []
+    for block in (docc_c, socc_c, virt_c):
+        if block.shape[1] == 0:
+            continue
+        f_block = block.T @ f_eff @ block
+        w, u = np.linalg.eigh(f_block)
+        blocks.append(block @ u)
+        eps_blocks.append(w)
+    c = np.hstack(blocks)
+    eps = np.concatenate(eps_blocks)
+
+    for j in range(c.shape[1]):
+        pivot = int(np.argmax(np.abs(c[:, j])))
+        if c[pivot, j] < 0:
+            c[:, j] = -c[:, j]
+
+    return SCFResult(
+        mo_coeffs=c,
+        orbital_energies=eps,
+        e_hf=float(energy),
+        n_alpha=n_alpha,
+        n_beta=n_beta,
+        iterations=iterations,
+    )
 
 
 class WellSystem:

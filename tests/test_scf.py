@@ -2,10 +2,13 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from cvqelab import scf as scf_module
 from cvqelab.geometry import load_geometry, parse_geometry
 from cvqelab.integrals import IntegralSet, compute_integrals
 from cvqelab.scf import (
+    ConvergenceError,
     MissingCorrectionError,
     MOIntegrals,
     load_hf_energy_table,
@@ -16,7 +19,21 @@ from cvqelab.scf import (
     transform_to_mo,
 )
 
-from conftest import random_cluster, reference_run_scf
+from conftest import (
+    _reference_assign_by_overlap,
+    _reference_diis_extrapolate,
+    random_cluster,
+    reference_pattern_outcomes,
+    reference_run_scf,
+)
+
+# An H4+ cluster (Angstrom) on which one occupation pattern runs into
+# MAX_ITERATIONS while the others converge after 10 to 144 iterations.
+STALLING_CLUSTER = """\
+H -0.0615768568 1.2494207625 0.0716348080
+H -0.9399779923 1.5520459015 -0.0916898103
+H -0.2005458413 -1.3655249698 -0.2228497862
+H 1.5323421062 -0.2121344637 0.8885355300"""
 
 
 def rohf_energy_expression(mo: MOIntegrals, n_alpha: int, n_beta: int) -> float:
@@ -100,16 +117,94 @@ def test_reactant_finds_fragment_ground():
 
 
 def test_scf_bit_identical_to_per_pattern_reference(well):
-    """Work shared across patterns and the incremental DIIS matrix change no bit."""
-    cases = [well.integrals, compute_integrals(load_geometry("product"))]
+    """The lockstep pattern stack, the work shared across patterns and the
+    incremental DIIS matrix change no bit."""
+    stalling = compute_integrals(parse_geometry(STALLING_CLUSTER))
+    cases = [well.integrals, stalling]
+    cases += [compute_integrals(load_geometry(label)) for label in ("reactant", "product")]
     rng = np.random.default_rng(1618)
     cases += [compute_integrals(parse_geometry(random_cluster(rng, 4))) for _ in range(4)]
+    # the cases cover a shrinking stack and a pattern that never converges
+    well_iterations = {o.iterations for o in reference_pattern_outcomes(well.integrals, 2, 1)}
+    assert len(well_iterations) > 1
+    stalling_outcomes = reference_pattern_outcomes(stalling, 2, 1)
+    assert any(isinstance(o, ConvergenceError) for o in stalling_outcomes)
+    assert not all(isinstance(o, ConvergenceError) for o in stalling_outcomes)
     for integrals in cases:
         got, ref = run_scf(integrals, 2, 1), reference_run_scf(integrals, 2, 1)
         assert got.e_hf == ref.e_hf
         assert np.array_equal(got.mo_coeffs, ref.mo_coeffs)
         assert np.array_equal(got.orbital_energies, ref.orbital_energies)
         assert got.iterations == ref.iterations
+
+
+def test_scf_all_patterns_fail_like_reference(well, monkeypatch):
+    """When no pattern converges, the error is the last pattern's, as in the reference."""
+    monkeypatch.setattr(scf_module, "MAX_ITERATIONS", 2)
+    with pytest.raises(ConvergenceError) as got:
+        run_scf(well.integrals, 2, 1)
+    with pytest.raises(ConvergenceError) as ref:
+        reference_run_scf(well.integrals, 2, 1)
+    assert got.value.iterations == ref.value.iterations == 2
+    assert got.value.last_delta == ref.value.last_delta
+
+
+def test_diis_singular_pattern_falls_back_alone():
+    """A singular B matrix in one stacked pattern gives that pattern its latest
+    Fock matrix; every other pattern is extrapolated as on its own."""
+    rng = np.random.default_rng(5)
+    focks = rng.normal(size=(4, 5, 3, 3))
+    errors = rng.normal(size=(4, 5, 3, 3))
+    errors[2] = errors[2, 0]  # equal error vectors: pattern 2's B matrix is singular
+    overlaps = np.array(
+        [[[np.sum(e_i * e_j) for e_j in errs] for e_i in errs] for errs in errors]
+    )
+    got = scf_module._diis_extrapolate(focks, overlaps)
+    for i in range(4):
+        ref = _reference_diis_extrapolate(list(focks[i]), list(errors[i]))
+        assert np.array_equal(got[i], ref)
+    assert np.array_equal(got[2], focks[2, -1])
+    assert not np.array_equal(got[1], focks[1, -1])
+
+
+def test_generalized_eigh_is_scipy_eigh_per_pattern():
+    """Same bits as scipy.linalg.eigh(f, s), which reads f's lower triangle,
+    and the same errors for a non-finite f or an indefinite s."""
+    rng = np.random.default_rng(2)
+    f = rng.normal(size=(3, 4, 4))  # not symmetric: only the lower triangle counts
+    b = rng.normal(size=(4, 4))
+    s = b @ b.T + 4.0 * np.eye(4)
+    eps, vecs = scf_module._generalized_eigh(f, s)
+    for i in range(3):
+        w, v = scipy.linalg.eigh(f[i], s)
+        assert np.array_equal(eps[i], w)
+        assert np.array_equal(vecs[i], v)
+    with pytest.raises(np.linalg.LinAlgError):
+        scf_module._generalized_eigh(f, np.diag([1.0, -1.0, 1.0, 1.0]))
+    with pytest.raises(ValueError):
+        scf_module._generalized_eigh(np.full((1, 4, 4), np.nan), s)
+
+
+@pytest.mark.parametrize("n_docc, n_socc", [(1, 1), (2, 1), (1, 2), (0, 1)])
+def test_assign_by_overlap_matches_per_pattern_picks_on_ties(n_docc, n_socc):
+    """The stacked occupation pick breaks ties in overlap weight and in orbital
+    energy exactly as the single-pattern pick does."""
+    rng = np.random.default_rng(11)
+    n, n_occ, n_pat = 5, n_docc + n_socc, 64
+    s = np.eye(n)
+    # signed permutations against 0/1 columns: weights tie at 0, 1, sqrt(2), ...
+    c_new = np.stack(
+        [np.eye(n)[:, rng.permutation(n)] * rng.choice([-1.0, 1.0], n) for _ in range(n_pat)]
+    )
+    c_prev = rng.integers(0, 2, size=(n_pat, n, n)).astype(float)
+    eps = np.sort(rng.choice([-1.0, -0.5, 0.0, 0.5], size=(n_pat, n)), axis=1)
+    got = scf_module._assign_by_overlap(c_new, eps, s, c_prev, n_docc, n_socc)
+    for i in range(n_pat):
+        blocks = _reference_assign_by_overlap(
+            c_new[i], eps[i], s, c_prev[i, :, :n_docc], c_prev[i, :, n_docc:n_occ],
+            n_docc, n_socc,
+        )
+        assert np.array_equal(got[i], np.hstack(blocks))
 
 
 def test_precondition_errors():
