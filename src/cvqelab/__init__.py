@@ -59,7 +59,6 @@ from .statevector import (
     init_fock,
     mix_noise,
     probabilities,
-    sample,
 )
 from .subspace import (
     OptimizedState,

@@ -95,6 +95,10 @@ def read_fcidump(text: str) -> tuple[MOIntegrals, FCIDumpMetadata]:
         raise FCIDumpFormatError(f"NORB = {n_orb} invalid")
     if n_elec < 0 or n_elec > 2 * n_orb:
         raise FCIDumpFormatError(f"NELEC = {n_elec} inconsistent with NORB = {n_orb}")
+    if (n_elec - ms2) % 2 or abs(ms2) > n_elec or n_elec + abs(ms2) > 2 * n_orb:
+        raise FCIDumpFormatError(
+            f"MS2 = {ms2} inconsistent with NELEC = {n_elec} and NORB = {n_orb}"
+        )
 
     body = text[header_match.end():]
     h = np.zeros((n_orb, n_orb))

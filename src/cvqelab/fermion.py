@@ -52,23 +52,18 @@ def second_quantize(mo: MOIntegrals) -> SecondQuantizedHamiltonian:
     n = mo.n_mo
     q = 2 * n
     h1 = np.zeros((q, q))
-    for i in range(n):
-        for j in range(n):
-            for s in range(2):
-                h1[2 * i + s, 2 * j + s] = mo.h_mo[i, j]
+    for s in range(2):
+        h1[s::2, s::2] = mo.h_mo
 
-    # <PQ|RS> = (pr|qs) delta(sP,sR) delta(sQ,sS), then antisymmetrize
-    coulomb = np.zeros((q, q, q, q))
-    for i in range(n):
-        for k in range(n):
-            for j in range(n):
-                for l in range(n):
-                    v = mo.g_mo[i, k, j, l]
-                    if abs(v) < 1e-15:
-                        continue
-                    for s1 in range(2):
-                        for s2 in range(2):
-                            coulomb[2*i+s1, 2*j+s2, 2*k+s1, 2*l+s2] = v
+    # <PQ|RS> = (pr|qs) delta(sP,sR) delta(sQ,sS), then antisymmetrize; spin
+    # orbital P = 2 i + s is axis pair (i, s) of the (n, 2, ...) view
+    pqrs = mo.g_mo.transpose(0, 2, 1, 3)
+    pqrs = np.where(np.abs(pqrs) < _ENTRY_FLOOR, 0.0, pqrs)
+    coulomb = np.zeros((n, 2, n, 2, n, 2, n, 2))
+    for s1 in range(2):
+        for s2 in range(2):
+            coulomb[:, s1, :, s2, :, s1, :, s2] = pqrs
+    coulomb = coulomb.reshape(q, q, q, q)
     h2 = coulomb - coulomb.transpose(0, 1, 3, 2)
     return SecondQuantizedHamiltonian(
         one_body=h1, two_body=h2, constant=mo.e_nuc, n_spin_orbitals=q

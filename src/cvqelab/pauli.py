@@ -5,17 +5,19 @@ i^{popcount(x[j] & z[j])} X^x[j] Z^z[j] (Y = iXZ on each qubit), with real
 coefficients[j] (Hermitian operators only).  Bit q of a mask is qubit q, the
 q-th least-significant bit of a Fock index.  Terms are kept in canonical
 order, the lexicographic order of their letter labels (qubit 0 first,
-I < X < Y < Z), so iteration order is deterministic.  compile_pauli_action
-is the one per-string Pauli-action kernel: flip-mask groups and expectations
-use it.  flip_groups sums H's strings by the qubits they flip; to_dense
-and the trapezoidal staircase read their matrix elements from those groups.
-Products are taken over whole mask arrays (symplectic_product), the form
+I < X < Y < Z), so iteration order is deterministic.  PauliSum.flip_groups
+sums H's strings by the qubits they flip, H = sum_k D_k X^{masks[k]}; it is
+computed once per PauliSum, on first access, and to_dense, the trapezoidal
+staircase and statevector.expectation read their matrix elements from it.
+The per-string Pauli-action kernel below feeds only those groups.  Products
+are taken over whole mask arrays (symplectic_product), the form
 Jordan-Wigner builds in.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -73,6 +75,28 @@ class PauliSum:
         qubits = np.arange(self.n_qubits)
         bits = ((self.x[:, None] >> qubits) & 1) + 2 * ((self.z[:, None] >> qubits) & 1)
         return ["".join(row) for row in _MASK_LETTERS[bits].tolist()]
+
+    @cached_property
+    def flip_groups(self) -> tuple[np.ndarray, np.ndarray]:
+        """H grouped by flip mask, H = sum_k D_k X^{masks[k]}; read-only.
+
+        The distinct x masks of H's strings, ascending and always including
+        0, and rows with rows[k, m] = <m|H|m ^ masks[k]>.  Each row is summed
+        from zeros in term order, so every matrix element gets the same
+        additions in the same order as a per-string dense build.
+        """
+        n_qubits = self.n_qubits
+        if n_qubits > DENSE_QUBIT_CAP:
+            raise ResourceLimitError(f"{n_qubits} qubits exceeds dense cap {DENSE_QUBIT_CAP}")
+        masks = np.unique(np.concatenate([np.zeros(1, dtype=np.int64), self.x]))
+        rows = np.zeros((len(masks), 1 << n_qubits), dtype=complex)
+        groups = np.searchsorted(masks, self.x).tolist()
+        for x, z, coeff, k in zip(self.x.tolist(), self.z.tolist(), self.coeffs.tolist(), groups):
+            _source, phase = compile_pauli_action(x, z, n_qubits)
+            rows[k] += coeff * phase
+        masks.flags.writeable = False
+        rows.flags.writeable = False
+        return masks, rows
 
 
 def _canonical_key(x: np.ndarray, z: np.ndarray, n_qubits: int) -> np.ndarray:
@@ -168,28 +192,9 @@ def compile_pauli_action(x_mask: int, z_mask: int, n_qubits: int) -> tuple[np.nd
     return source, _I_POWERS[(n_y + 2 * (_popcount(source & z_mask) & 1)) & 3]
 
 
-def flip_groups(h: PauliSum) -> tuple[np.ndarray, np.ndarray]:
-    """H grouped by flip mask, H = sum_k D_k X^{masks[k]}.
-
-    Returns the distinct x masks of H's strings, ascending and always
-    including 0, and rows with rows[k, m] = <m|H|m ^ masks[k]>.  Each row is
-    summed from zeros in term order, so every matrix element gets the same
-    additions in the same order as a per-string dense build.
-    """
-    if h.n_qubits > DENSE_QUBIT_CAP:
-        raise ResourceLimitError(f"{h.n_qubits} qubits exceeds dense cap {DENSE_QUBIT_CAP}")
-    masks = np.unique(np.concatenate([np.zeros(1, dtype=np.int64), h.x]))
-    rows = np.zeros((len(masks), 1 << h.n_qubits), dtype=complex)
-    groups = np.searchsorted(masks, h.x).tolist()
-    for x, z, coeff, k in zip(h.x.tolist(), h.z.tolist(), h.coeffs.tolist(), groups):
-        _source, phase = compile_pauli_action(x, z, h.n_qubits)
-        rows[k] += coeff * phase
-    return masks, rows
-
-
 def to_dense(h: PauliSum) -> np.ndarray:
     """Dense 2^Q x 2^Q matrix; qubit 0 is the least-significant basis-index bit."""
-    masks, rows = flip_groups(h)
+    masks, rows = h.flip_groups
     dim = 1 << h.n_qubits
     out = np.zeros((dim, dim), dtype=complex)
     idx = np.arange(dim)

@@ -30,7 +30,6 @@ from .pauli import (
     PauliSum,
     _popcount,
     align,
-    flip_groups,
     interpolation_rows,
 )
 from .statevector import StateVector, init_fock
@@ -100,7 +99,7 @@ def prepare_trapezoidal(
     if h0.n_qubits != h.n_qubits:
         raise ValueError("qubit count mismatch")
     start = init_fock(phi0, h.n_qubits)
-    groups = (flip_groups(h0), flip_groups(h))
+    groups = (h0.flip_groups, h.flip_groups)
     sector = _reachable(start.amplitudes != 0, groups)
     h0_block, h_block = (_sector_block(masks, rows, sector) for masks, rows in groups)
     amp = start.amplitudes[sector]

@@ -1,8 +1,11 @@
 """Dense statevector simulation: Fock states, expectations, Born
-probabilities, shot sampling, and a distribution-level noise knob.
+probabilities, shot sampling of a distribution, and a distribution-level
+noise knob.
 
 Amplitudes are stored contiguously indexed by the Fock integer; qubit 0 is
-the least-significant bit.  All stochastic draws use the counter-based
+the least-significant bit.  Expectations read the operator's flip-mask
+groups (PauliSum.flip_groups), so the strings of H are compiled once per
+operator, not once per call.  All stochastic draws use the counter-based
 Philox generator keyed by an explicit 64-bit seed.
 """
 
@@ -12,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import PauliSum, compile_pauli_action
+from .pauli import PauliSum
 
 NORM_TOL = 1e-10
 
@@ -78,12 +81,12 @@ def init_fock(n: int, n_qubits: int) -> StateVector:
 
 
 def expectation(state: StateVector, h: PauliSum) -> float:
-    """<psi|H|psi> for Hermitian H (real by construction)."""
+    """<psi|H|psi> for Hermitian H (real by construction), summed over H's
+    flip-mask groups: sum_k <psi| D_k X^{masks[k]} |psi>."""
     amp = state.amplitudes
-    total = 0.0 + 0.0j
-    for x, z, coeff in zip(h.x.tolist(), h.z.tolist(), h.coeffs.tolist()):
-        source, phase = compile_pauli_action(x, z, h.n_qubits)
-        total += coeff * np.vdot(amp, phase * amp[source])
+    masks, rows = h.flip_groups
+    idx = np.arange(len(amp))
+    total = sum(np.vdot(amp, row * amp[idx ^ mask]) for mask, row in zip(masks.tolist(), rows))
     return float(total.real)
 
 
@@ -97,14 +100,6 @@ def probabilities(state: StateVector, label: str = "") -> Distribution:
     return Distribution(
         probs={int(n): float(p[n]) for n in np.nonzero(p > 1e-16)[0]}, label=label
     )
-
-
-def sample(state: StateVector, shots: int, seed: int) -> SampleCounts:
-    """Multinomial draw over the Born distribution; deterministic per seed."""
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    dist = probabilities(state)
-    return sample_distribution(dist, shots, seed)
 
 
 def sample_distribution(dist: Distribution, shots: int, seed: int) -> SampleCounts:

@@ -15,7 +15,13 @@ from cvqelab.geometry import load_geometry, parse_geometry
 from cvqelab.integrals import IntegralSet, compute_integrals
 from cvqelab.pauli import COEFF_FLOOR, PauliSum, compile_pauli_action
 from cvqelab.scf import ConvergenceError, SCFResult, model_hamiltonian, run_scf, transform_to_mo
-from cvqelab.statevector import StateVector, init_fock, probabilities
+from cvqelab.statevector import (
+    SampleCounts,
+    StateVector,
+    init_fock,
+    probabilities,
+    sample_distribution,
+)
 from cvqelab.subspace import embed_optimized, slater_condon
 
 TABLE_STATES = (7, 13, 19, 22, 25, 28, 37, 49, 52, 193, 196, 208)
@@ -170,6 +176,55 @@ def reference_to_dense(h: PauliSum) -> np.ndarray:
         source, phase = compile_pauli_action(*label_masks(label), h.n_qubits)
         out[idx, source] += coeff * phase
     return out
+
+
+def reference_expectation(state: StateVector, h: PauliSum) -> float:
+    """<psi|H|psi> one compiled string at a time: the reference that
+    statevector.expectation (summed over flip-mask groups) is tested against."""
+    amp = state.amplitudes
+    total = 0.0 + 0.0j
+    for x, z, coeff in zip(h.x.tolist(), h.z.tolist(), h.coeffs.tolist()):
+        source, phase = compile_pauli_action(x, z, h.n_qubits)
+        total += coeff * np.vdot(amp, phase * amp[source])
+    return float(total.real)
+
+
+def sample(state: StateVector, shots: int, seed: int) -> SampleCounts:
+    """Multinomial draw over the Born distribution; deterministic per seed."""
+    if shots < 1:
+        raise ValueError("shots must be >= 1")
+    dist = probabilities(state)
+    return sample_distribution(dist, shots, seed)
+
+
+def reference_second_quantize(mo) -> SecondQuantizedHamiltonian:
+    """Spatial-MO integrals expanded over interleaved spin orbitals one entry
+    at a time: the reference that fermion.second_quantize must match byte for
+    byte."""
+    n = mo.n_mo
+    q = 2 * n
+    h1 = np.zeros((q, q))
+    for i in range(n):
+        for j in range(n):
+            for s in range(2):
+                h1[2 * i + s, 2 * j + s] = mo.h_mo[i, j]
+
+    # <PQ|RS> = (pr|qs) delta(sP,sR) delta(sQ,sS), then antisymmetrize
+    coulomb = np.zeros((q, q, q, q))
+    for i in range(n):
+        for k in range(n):
+            for j in range(n):
+                for l in range(n):
+                    v = mo.g_mo[i, k, j, l]
+                    if abs(v) < 1e-15:
+                        continue
+                    for s1 in range(2):
+                        for s2 in range(2):
+                            coulomb[2*i+s1, 2*j+s2, 2*k+s1, 2*l+s2] = v
+    h2 = coulomb - coulomb.transpose(0, 1, 3, 2)
+    return SecondQuantizedHamiltonian(
+        one_body=h1, two_body=h2, constant=mo.e_nuc, n_spin_orbitals=q
+    )
 
 
 def reference_prepare_trapezoidal(h0: PauliSum, h: PauliSum, schedule, phi0: int) -> np.ndarray:
@@ -585,16 +640,22 @@ def h2_system():
     return geometry, integrals, scf
 
 
-@pytest.fixture(scope="session")
-def h4_hamiltonians(well):
-    """(h0, h, phi0) of the three built-in geometries and two random H4+
-    clusters, keyed by label."""
+def h4_geometries() -> dict:
+    """The reactant and product geometries and two random H4+ clusters, by
+    label; the well is the session `well` fixture."""
     rng = np.random.default_rng(8)
     geometries = {label: load_geometry(label) for label in ("reactant", "product")}
     for i in range(2):
         geometries[f"cluster{i}"] = parse_geometry(random_cluster(rng, 4))
+    return geometries
+
+
+@pytest.fixture(scope="session")
+def h4_hamiltonians(well):
+    """(h0, h, phi0) of the three built-in geometries and two random H4+
+    clusters, keyed by label."""
     out = {"well": (well.h0_pauli, well.h_pauli, well.phi0)}
-    for label, geometry in geometries.items():
+    for label, geometry in h4_geometries().items():
         integrals = compute_integrals(geometry)
         scf = run_scf(integrals, 2, 1)
         h = jordan_wigner(second_quantize(transform_to_mo(integrals, scf)))

@@ -27,10 +27,10 @@ from cvqelab.pipeline import (
 )
 from cvqelab.prep import TrotterConfig, build_schedule, circuit_stats, prepare_guiding, prepare_trapezoidal
 from cvqelab.scf import ConvergenceError, load_hf_energy_table, run_scf, transform_to_mo
-from cvqelab.statevector import mix_noise, probabilities, sample, sample_distribution
+from cvqelab.statevector import mix_noise, probabilities, sample_distribution
 from cvqelab.subspace import OutcomeSet, build_subspace, collect_outcomes, optimize
 
-from conftest import TABLE_STATES, random_cluster, spin_expectations
+from conftest import TABLE_STATES, random_cluster, sample, spin_expectations
 
 pytestmark = pytest.mark.acceptance
 

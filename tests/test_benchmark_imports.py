@@ -3,9 +3,16 @@ functions by name; a deleted or renamed name fails here instead of in a
 benchmark run."""
 
 import importlib
+import inspect
 from pathlib import Path
 
+import pytest
+
+from cvqelab.fci import solve_fci
 from cvqelab.fcidump import read_fcidump, write_fcidump
+from cvqelab.prep import prepare_guiding, prepare_trapezoidal
+from cvqelab.statevector import sample_distribution
+from cvqelab.subspace import build_subspace
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -19,6 +26,23 @@ def test_benchmark_modules_import_and_traced_names_exist(monkeypatch):
         mod = importlib.import_module(f"cvqelab.{module}")
         for name in names:
             assert callable(getattr(mod, name, None)), f"cvqelab.{module}.{name}"
+
+
+@pytest.mark.parametrize(
+    "fn,position,name",
+    [
+        (prepare_trapezoidal, 2, "schedule"),
+        (prepare_guiding, 2, "schedule"),
+        (sample_distribution, 1, "shots"),
+        (build_subspace, 0, "outcomes"),
+        (solve_fci, 0, "basis"),
+    ],
+)
+def test_traced_counters_read_the_right_positional_argument(fn, position, name):
+    """tracer._count_calls reads these arguments by position (prep.steps,
+    statevector.shots, subspace.dim, fci.sector_dim); a reordered signature
+    would miscount them silently."""
+    assert list(inspect.signature(fn).parameters)[position] == name
 
 
 def test_benchmark_oracles_accept_the_well(monkeypatch, well):

@@ -3,6 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cvqelab.cli import main as cli_main
 from cvqelab.fci import enumerate_sector, solve_fci
 from cvqelab.fcidump import FCIDumpFormatError, read_fcidump, write_fcidump
 from cvqelab.fermion import second_quantize
@@ -43,16 +44,36 @@ def test_format_errors():
         read_fcidump("no header\n1.0 0 0 0 0\n")
     with pytest.raises(FCIDumpFormatError):
         read_fcidump("&FCI NORB=1,NELEC=5,&END\n")  # NELEC > 2*NORB
+    with pytest.raises(FCIDumpFormatError, match="MS2"):
+        read_fcidump("&FCI NORB=1,NELEC=2,MS2=2,&END\n")  # two alpha electrons, one orbital
     with pytest.raises(FCIDumpFormatError):
-        read_fcidump("&FCI NORB=1,NELEC=1,&END\n1.0 2 1 0 0\n")  # index range
+        read_fcidump("&FCI NORB=1,NELEC=1,MS2=1,&END\n1.0 2 1 0 0\n")  # index range
     with pytest.raises(FCIDumpFormatError):
-        read_fcidump("&FCI NORB=1,NELEC=1,&END\n1.0 1 1\n")  # field count
+        read_fcidump("&FCI NORB=1,NELEC=1,MS2=1,&END\n1.0 1 1\n")  # field count
     with pytest.raises(FCIDumpFormatError):
         read_fcidump(
             "&FCI NORB=2,NELEC=2,&END\n"
             "1.0 1 2 0 0\n"
             "2.0 2 1 0 0\n"  # conflicting duplicate of the same element
         )
+
+
+def test_ms2_must_fit_nelec(well):
+    """NELEC = 3 takes MS2 = +-1 or +-3 on four orbitals: an even MS2 leaves
+    a half electron, |MS2| > NELEC a negative count."""
+    text = write_fcidump(well.mo, n_elec=3, ms2=1)
+    for ms2 in (0, 2, 5, -5):
+        with pytest.raises(FCIDumpFormatError, match="MS2"):
+            read_fcidump(text.replace("MS2=1,", f"MS2={ms2},"))
+    for ms2 in (1, -1, 3, -3):
+        assert read_fcidump(text.replace("MS2=1,", f"MS2={ms2},"))[1].ms2 == ms2
+
+
+def test_cli_import_names_fcidump_stage_for_bad_ms2(well, tmp_path, capsys):
+    path = tmp_path / "well.fcidump"
+    path.write_text(write_fcidump(well.mo, n_elec=3, ms2=1).replace("MS2=1,", "MS2=0,"))
+    assert cli_main(["fcidump", "import", "--file", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error [fcidump]: MS2 = 0")
 
 
 def test_consistent_duplicates_accepted():

@@ -17,7 +17,15 @@ from cvqelab.pauli import to_dense
 from cvqelab.scf import MOIntegrals, run_scf, transform_to_mo
 from cvqelab.subspace import slater_condon
 
-from conftest import label_terms, number_operator, random_cluster, reference_jordan_wigner, sz_operator
+from conftest import (
+    h4_geometries,
+    label_terms,
+    number_operator,
+    random_cluster,
+    reference_jordan_wigner,
+    reference_second_quantize,
+    sz_operator,
+)
 
 
 def random_mo_integrals(rng, n_mo) -> MOIntegrals:
@@ -57,6 +65,28 @@ def test_two_body_antisymmetry_and_spin_zeros():
         for q in range(6):
             if (p - q) % 2:
                 assert sq.one_body[p, q] == 0.0
+
+
+def test_second_quantize_bit_identical_to_entry_loop(well):
+    """The spin-block slice assignments give the per-entry loop's bytes, on
+    the built-in geometries, the random H4+ clusters and random integrals
+    with entries at and below the 1e-15 floor."""
+    mos = [well.mo]
+    for geometry in h4_geometries().values():
+        integrals = compute_integrals(geometry)
+        mos.append(transform_to_mo(integrals, run_scf(integrals, 2, 1)))
+    rng = np.random.default_rng(15)
+    for n_mo in (1, 3):
+        mo = random_mo_integrals(rng, n_mo)
+        g = mo.g_mo.copy()
+        g[rng.random(g.shape) < 0.3] = 4e-16
+        g[rng.random(g.shape) < 0.1] = -0.0
+        mos.append(MOIntegrals(h_mo=mo.h_mo, g_mo=g, e_nuc=mo.e_nuc, n_mo=n_mo))
+    for mo in mos:
+        sq, ref = second_quantize(mo), reference_second_quantize(mo)
+        assert sq.one_body.tobytes() == ref.one_body.tobytes()
+        assert sq.two_body.tobytes() == ref.two_body.tobytes()
+        assert (sq.constant, sq.n_spin_orbitals) == (ref.constant, ref.n_spin_orbitals)
 
 
 def test_number_operator_map():

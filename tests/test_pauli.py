@@ -7,7 +7,6 @@ from cvqelab.pauli import (
     PauliSum,
     ResourceLimitError,
     compile_pauli_action,
-    flip_groups,
     interpolate,
     mask_phases,
     prune,
@@ -111,19 +110,26 @@ def test_dense_cap():
     with pytest.raises(ResourceLimitError):
         to_dense(h)
     with pytest.raises(ResourceLimitError):
-        flip_groups(h)
+        h.flip_groups
 
 
 def test_flip_groups_rows_are_matrix_elements(well):
     xx_yy = from_labels({"XXZ": 0.5, "YYZ": 0.5})
     for h in (well.h_pauli, well.h0_pauli, xx_yy, from_labels({}, 2)):
-        masks, rows = flip_groups(h)
+        masks, rows = h.flip_groups
         assert masks.tolist() == sorted({label_masks(label)[0] for label in h.labels()} | {0})
         assert rows.shape == (len(masks), 1 << h.n_qubits)
         dense = kron_dense(h)
         m = np.arange(1 << h.n_qubits)
         for mask, row in zip(masks.tolist(), rows):
             assert np.max(np.abs(row - dense[m, m ^ mask]), initial=0.0) < 1e-14
+        # built once per operator, and read-only so no caller corrupts it
+        again = h.flip_groups
+        assert again[0] is masks and again[1] is rows
+        with pytest.raises(ValueError):
+            masks[0] = 1
+        with pytest.raises(ValueError):
+            rows[0, 0] = 1.0
 
 
 def test_to_dense_bit_identical_to_per_string_reference(h4_hamiltonians):

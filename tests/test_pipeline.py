@@ -82,6 +82,32 @@ def test_run_path_builds_no_dense_matrix(monkeypatch, well_system):
         assert report.e_optimized >= report.e_g - 1e-10
 
 
+def test_prepare_run_compiles_each_string_once(monkeypatch):
+    """H's strings are compiled once per operator, for its flip-mask groups:
+    the trapezoidal staircase and both energies read the same groups, and a
+    second run on the same system compiles nothing.  The system is built
+    here, so no other test has filled its groups yet."""
+    original, calls = pauli.compile_pauli_action, []
+
+    def counting(x_mask, z_mask, n_qubits):
+        calls.append(x_mask)
+        return original(x_mask, z_mask, n_qubits)
+
+    for name, module in list(sys.modules.items()):
+        holds = getattr(module, "compile_pauli_action", None) is original
+        if name.split(".")[0] == "cvqelab" and holds:
+            monkeypatch.setattr(module, "compile_pauli_action", counting)
+    config = RunConfig.for_regime("C", shots=20000)
+    system = build_system(config)
+    assert calls == []
+    first = prepare_run(config, system)
+    assert len(calls) == len(system.h_pauli) + len(system.h0_pauli) == 370
+    calls.clear()
+    second = prepare_run(config, system)
+    assert calls == []
+    assert (second.e_trapezoidal, second.e_guiding) == (first.e_trapezoidal, first.e_guiding)
+
+
 def test_build_subspace_sizes_match_benchmark_dim_count(monkeypatch, small_config):
     """The benchmark's `subspace.dim` per op is the FCI sector size plus each
     seed's outcome count: build_subspace, recorded in every cvqelab namespace

@@ -12,7 +12,6 @@ from cvqelab.statevector import (
     mix_noise,
     probabilities,
     rng_from_seed,
-    sample,
     sample_distribution,
 )
 
@@ -22,7 +21,9 @@ from conftest import (
     kron_dense,
     kron_oracle,
     random_sum,
+    reference_expectation,
     reference_prepare_trapezoidal,
+    sample,
 )
 
 
@@ -219,12 +220,18 @@ def test_sector_confinement(well):
     assert np.count_nonzero(psi.amplitudes) <= 24
 
 
-def test_expectation_matches_dense(well):
+def test_expectation_matches_dense(h4_hamiltonians):
+    """The flip-mask group sum agrees with a dense product and with the
+    per-string sum, also for sums that do not conserve particle number."""
     rng = np.random.default_rng(17)
     psi = random_state(rng, 8)
-    dense = kron_dense(well.h_pauli)
-    direct = float(np.real(np.vdot(psi.amplitudes, dense @ psi.amplitudes)))
-    assert expectation(psi, well.h_pauli) == pytest.approx(direct, abs=1e-10)
+    well_h0, well_h, _phi0 = h4_hamiltonians["well"]
+    _h0, product_h, _phi0 = h4_hamiltonians["product"]
+    for h in (well_h, well_h0, product_h, random_sum(rng, 8, 40), random_sum(rng, 8, 120)):
+        dense = kron_dense(h)
+        direct = float(np.real(np.vdot(psi.amplitudes, dense @ psi.amplitudes)))
+        assert expectation(psi, h) == pytest.approx(direct, abs=1e-10)
+        assert abs(expectation(psi, h) - reference_expectation(psi, h)) < 1e-12
 
 
 def test_philox_generator_stable():

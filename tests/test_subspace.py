@@ -4,7 +4,7 @@ import pytest
 from cvqelab.fci import enumerate_sector
 from cvqelab.pauli import to_dense
 from cvqelab.prep import TrotterConfig, build_schedule, prepare_guiding
-from cvqelab.statevector import SampleCounts, probabilities, sample
+from cvqelab.statevector import SampleCounts, probabilities
 from cvqelab.subspace import (
     EmptySubspaceError,
     OutcomeSet,
@@ -16,6 +16,8 @@ from cvqelab.subspace import (
     restrict_to_sector,
     slater_condon,
 )
+
+from conftest import sample
 
 TABLE_STATES = (7, 13, 19, 22, 25, 28, 37, 49, 52, 193, 196, 208)
 
