@@ -68,7 +68,6 @@ from .subspace import (
     collect_outcomes,
     embed_optimized,
     optimize,
-    slater_condon,
 )
 
 __version__ = "0.1.0"

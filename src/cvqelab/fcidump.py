@@ -93,6 +93,8 @@ def read_fcidump(text: str) -> tuple[MOIntegrals, FCIDumpMetadata]:
 
     if n_orb < 1:
         raise FCIDumpFormatError(f"NORB = {n_orb} invalid")
+    if len(orbsym) != n_orb:
+        raise FCIDumpFormatError(f"ORBSYM lists {len(orbsym)} orbitals, NORB = {n_orb}")
     if n_elec < 0 or n_elec > 2 * n_orb:
         raise FCIDumpFormatError(f"NELEC = {n_elec} inconsistent with NORB = {n_orb}")
     if (n_elec - ms2) % 2 or abs(ms2) > n_elec or n_elec + abs(ms2) > 2 * n_orb:

@@ -7,7 +7,10 @@ Matrix elements between Fock occupation bitstrings follow the standard
 two-difference excitation rules with fermionic parity consistent with the
 Jordan-Wigner bit ordering (parity = popcount of occupied modes below the
 acted index), so the subspace matrix equals the dense qubit Hamiltonian
-restricted to the sampled rows/columns.
+restricted to the sampled rows/columns.  The rules are evaluated as bit-mask
+array operations over all determinant pairs at once, and each entry is
+computed from its own pair alone: a sampled matrix is exactly a principal
+sub-matrix of the sector matrix, so E* >= E_g is Cauchy interlacing.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .fermion import SecondQuantizedHamiltonian
+from .pauli import _popcount
 from .statevector import SampleCounts, StateVector, init_fock
 
 if TYPE_CHECKING:
@@ -84,85 +88,60 @@ def restrict_to_sector(outcomes: OutcomeSet, sector: SectorBasis) -> OutcomeSet:
     return OutcomeSet(members=members)
 
 
-def _occupied(n: int, q: int) -> list[int]:
-    return [p for p in range(q) if (n >> p) & 1]
-
-
-def _parity_below(n: int, p: int) -> int:
-    return bin(n & ((1 << p) - 1)).count("1") & 1
-
-
-def _annihilate(n: int, p: int) -> tuple[int, int] | None:
-    if not (n >> p) & 1:
-        return None
-    sign = -1 if _parity_below(n, p) else 1
-    return sign, n ^ (1 << p)
-
-
-def _create(n: int, p: int) -> tuple[int, int] | None:
-    if (n >> p) & 1:
-        return None
-    sign = -1 if _parity_below(n, p) else 1
-    return sign, n | (1 << p)
-
-
-def slater_condon(n: int, n_prime: int, sq: SecondQuantizedHamiltonian) -> float:
-    """<n|H|n'> between Fock occupation bitstrings (Hartree)."""
-    q = sq.n_spin_orbitals
-    h1, h2 = sq.one_body, sq.two_body
-    if n == n_prime:
-        occ = _occupied(n, q)
-        e = sq.constant + sum(h1[p, p] for p in occ)
-        for a_i, p in enumerate(occ):
-            for r in occ[a_i + 1:]:
-                e += h2[p, r, p, r]
-        return float(e)
-
-    diff = n ^ n_prime
-    removed = [p for p in range(q) if (diff >> p) & 1 and (n_prime >> p) & 1]
-    added = [p for p in range(q) if (diff >> p) & 1 and (n >> p) & 1]
-    if len(removed) != len(added) or len(removed) > 2:
-        return 0.0
-
-    if len(removed) == 1:
-        p_from, p_to = removed[0], added[0]
-        sign, interm = _annihilate(n_prime, p_from)
-        step = _create(interm, p_to)
-        if step is None:
-            return 0.0
-        sign *= step[0]
-        common = _occupied(n_prime & n, q)
-        val = h1[p_to, p_from] + sum(h2[p_to, r, p_from, r] for r in common)
-        return float(sign * val)
-
-    # two differing spin orbitals: <n| a+_c1 a+_c2 a_r2 a_r1 |n'> * <c1 c2||r1 r2>
-    r1, r2 = removed
-    c1, c2 = added
-    sign1, s1 = _annihilate(n_prime, r1)
-    step = _annihilate(s1, r2)
-    sign2, s2 = step
-    step = _create(s2, c2)
-    if step is None:
-        return 0.0
-    sign3, s3 = step
-    step = _create(s3, c1)
-    if step is None or step[1] != n:
-        return 0.0
-    sign = sign1 * sign2 * sign3 * step[0]
-    return float(sign * h2[c1, c2, r1, r2])
-
-
 def build_subspace(outcomes: OutcomeSet, sq: SecondQuantizedHamiltonian) -> SubspaceHamiltonian:
+    """<a|H|b> over the outcome members by the determinant rules, for every
+    upper-triangle pair at once; each entry reads its own pair only."""
     if len(outcomes) == 0:
         raise EmptySubspaceError("outcome set is empty")
-    members = outcomes.members
+    h1, h2 = sq.one_body, sq.two_body
+    modes = np.arange(sq.n_spin_orbitals)
+    members = np.array(outcomes.members, dtype=np.int64)
     m = len(members)
+    index = np.arange(m)
+    rows, cols = np.nonzero(index[:, None] < index)
+    a, b = members[rows], members[cols]
+
+    # <a| a+_c1 a+_c2 a_r2 a_r1 |b>: the lost modes r1 < r2 are in b only, the
+    # gained modes c1 < c2 in a only, and a single excitation has no r2, c2.
+    # Unequal counts, or more than two each way, leave an exact zero.
+    moved = (a ^ b) & np.array([b, a])
+    low = moved & -moved
+    high = moved ^ low
+    one_or_two = low.all(axis=0) & ((high & (high - 1)) == 0).all(axis=0)
+    kept = np.flatnonzero(one_or_two & ((high[0] == 0) == (high[1] == 0)))
+    a, b, rows, cols = a[kept], b[kept], rows[kept], cols[kept]
+    (r1, c1), (r2, c2) = low[:, kept], high[:, kept]
+    # bits below each of r1, c1, r2, c2 (none where absent): their popcounts
+    # are the mode indices, and the ladder parities of annihilating r1, r2
+    # from b and then creating c2, c1 sum to the parity of one XOR
+    below = np.maximum(np.array([r1, c1, r2, c2]) - 1, 0)
+    order = (
+        (b & below[0])
+        ^ ((b ^ r1) & below[2])
+        ^ ((b ^ r1 ^ r2) & below[3])
+        ^ ((b ^ r1 ^ r2 ^ c2) & below[1])
+    )
+    i_r1, i_c1, i_r2, i_c2, odd = _popcount(np.concatenate([below, order[None]]))
+    values = 1.0 - 2.0 * (odd & 1)
+
+    single = np.flatnonzero(r2 == 0)
+    if len(single):
+        p, c = i_r1[single], i_c1[single]
+        spectators = ((a[single] & b[single])[:, None] >> modes) & 1
+        coulomb = h2[c[:, None], modes, p[:, None], modes] * spectators
+        values[single] *= h1[c, p] + coulomb.sum(axis=1)
+    double = np.flatnonzero(r2)
+    if len(double):
+        values[double] *= h2[i_c1[double], i_c2[double], i_r1[double], i_r2[double]]
+
     mat = np.zeros((m, m))
-    for i in range(m):
-        for j in range(i, m):
-            val = slater_condon(members[i], members[j], sq)
-            mat[i, j] = val
-            mat[j, i] = val
+    mat[rows, cols] = values
+    mat[cols, rows] = values
+    # diagonal: constant + sum_p h1[p,p] + sum_{p<r} h2[p,r,p,r] over occupied p, r
+    occ = ((members[:, None] >> modes) & 1).astype(float)
+    weight = np.triu(h2[modes[:, None], modes, modes[:, None], modes], 1) + np.diag(np.diag(h1))
+    pairs = (occ[:, :, None] * occ[:, None, :] * weight).reshape(m, -1)
+    mat[index, index] = sq.constant + pairs.sum(axis=1)
     return SubspaceHamiltonian(basis=outcomes, matrix=mat)
 
 

@@ -22,10 +22,19 @@ from cvqelab.statevector import (
     probabilities,
     sample_distribution,
 )
-from cvqelab.subspace import embed_optimized, slater_condon
+from cvqelab.subspace import OutcomeSet, build_subspace, embed_optimized
 
 TABLE_STATES = (7, 13, 19, 22, 25, 28, 37, 49, 52, 193, 196, 208)
 COUPLING_FLOOR = 1e-6  # Hartree; model_coupled_gaps ignores weaker couplings
+
+# six hydrogens on a line 0.9 Angstrom apart: H6+ doublet, 12 qubits
+H6_CHAIN = """\
+H 0 0 0.0
+H 0 0 0.9
+H 0 0 1.8
+H 0 0 2.7
+H 0 0 3.6
+H 0 0 4.5"""
 
 PAULI_MATRICES = {
     "I": np.eye(2, dtype=complex),
@@ -252,6 +261,88 @@ def reference_prepare_trapezoidal(h0: PauliSum, h: PauliSum, schedule, phi0: int
     full = np.zeros_like(start.amplitudes)
     full[sector] = amp
     return full
+
+
+# The determinant rules one pair at a time, with explicit ladder steps: the
+# reference for subspace.build_subspace, which evaluates every pair at once.
+# Kept verbatim as the per-pair build it replaced, unreachable branches
+# included: a gained mode is never occupied in n', so `_create` never
+# returns None and the final `step[1] != n` never fires.
+
+
+def _occupied(n: int, q: int) -> list[int]:
+    return [p for p in range(q) if (n >> p) & 1]
+
+
+def _parity_below(n: int, p: int) -> int:
+    return bin(n & ((1 << p) - 1)).count("1") & 1
+
+
+def _annihilate(n: int, p: int) -> tuple[int, int] | None:
+    if not (n >> p) & 1:
+        return None
+    sign = -1 if _parity_below(n, p) else 1
+    return sign, n ^ (1 << p)
+
+
+def _create(n: int, p: int) -> tuple[int, int] | None:
+    if (n >> p) & 1:
+        return None
+    sign = -1 if _parity_below(n, p) else 1
+    return sign, n | (1 << p)
+
+
+def slater_condon(n: int, n_prime: int, sq: SecondQuantizedHamiltonian) -> float:
+    """<n|H|n'> between Fock occupation bitstrings (Hartree)."""
+    q = sq.n_spin_orbitals
+    h1, h2 = sq.one_body, sq.two_body
+    if n == n_prime:
+        occ = _occupied(n, q)
+        e = sq.constant + sum(h1[p, p] for p in occ)
+        for a_i, p in enumerate(occ):
+            for r in occ[a_i + 1:]:
+                e += h2[p, r, p, r]
+        return float(e)
+
+    diff = n ^ n_prime
+    removed = [p for p in range(q) if (diff >> p) & 1 and (n_prime >> p) & 1]
+    added = [p for p in range(q) if (diff >> p) & 1 and (n >> p) & 1]
+    if len(removed) != len(added) or len(removed) > 2:
+        return 0.0
+
+    if len(removed) == 1:
+        p_from, p_to = removed[0], added[0]
+        sign, interm = _annihilate(n_prime, p_from)
+        step = _create(interm, p_to)
+        if step is None:
+            return 0.0
+        sign *= step[0]
+        common = _occupied(n_prime & n, q)
+        val = h1[p_to, p_from] + sum(h2[p_to, r, p_from, r] for r in common)
+        return float(sign * val)
+
+    # two differing spin orbitals: <n| a+_c1 a+_c2 a_r2 a_r1 |n'> * <c1 c2||r1 r2>
+    r1, r2 = removed
+    c1, c2 = added
+    sign1, s1 = _annihilate(n_prime, r1)
+    step = _annihilate(s1, r2)
+    sign2, s2 = step
+    step = _create(s2, c2)
+    if step is None:
+        return 0.0
+    sign3, s3 = step
+    step = _create(s3, c1)
+    if step is None or step[1] != n:
+        return 0.0
+    sign = sign1 * sign2 * sign3 * step[0]
+    return float(sign * h2[c1, c2, r1, r2])
+
+
+def rule_entry(n: int, m: int, sq: SecondQuantizedHamiltonian) -> float:
+    """<n|H|m> as build_subspace assembles it, read from the matrix over {n, m}."""
+    members = sorted({int(n), int(m)})
+    mat = build_subspace(OutcomeSet(members=tuple(members)), sq).matrix
+    return float(mat[members.index(int(n)), members.index(int(m))])
 
 
 def model_coupled_gaps(

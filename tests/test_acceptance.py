@@ -30,7 +30,7 @@ from cvqelab.scf import ConvergenceError, load_hf_energy_table, run_scf, transfo
 from cvqelab.statevector import mix_noise, probabilities, sample_distribution
 from cvqelab.subspace import OutcomeSet, build_subspace, collect_outcomes, optimize
 
-from conftest import TABLE_STATES, random_cluster, sample, spin_expectations
+from conftest import TABLE_STATES, random_cluster, rule_entry, sample, spin_expectations
 
 pytestmark = pytest.mark.acceptance
 
@@ -332,8 +332,6 @@ def test_criterion_9b_monotonicity_and_interlacing(system):
 
 
 def test_criterion_9c_dual_construction_random():
-    from cvqelab.subspace import slater_condon
-
     rng = np.random.default_rng(4242)
     worst = 0.0
     for n_atoms in (3, 3, 4, 4):
@@ -348,7 +346,7 @@ def test_criterion_9c_dual_construction_random():
         for n in rng.integers(0, dim, size=40):
             for m in rng.integers(0, dim, size=10):
                 worst = max(
-                    worst, abs(dense[n, m] - slater_condon(int(n), int(m), sq))
+                    worst, abs(dense[n, m] - rule_entry(int(n), int(m), sq))
                 )
     ok = worst <= 1e-10
     verdict("9c (dual construction)", ok, f"max |JW - determinant rules| = {worst:.2e} Ha")

@@ -76,6 +76,19 @@ def test_cli_import_names_fcidump_stage_for_bad_ms2(well, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error [fcidump]: MS2 = 0")
 
 
+def test_orbsym_length_must_match_norb(well, tmp_path, capsys):
+    text = write_fcidump(well.mo, n_elec=3, ms2=1)
+    assert "ORBSYM=1,1,1,1," in text
+    for orbsym in ("1,1,", "1,1,1,1,1,1,"):
+        edited = text.replace("ORBSYM=1,1,1,1,", f"ORBSYM={orbsym}")
+        with pytest.raises(FCIDumpFormatError, match="ORBSYM"):
+            read_fcidump(edited)
+        path = tmp_path / "well.fcidump"
+        path.write_text(edited)
+        assert cli_main(["fcidump", "import", "--file", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error [fcidump]: ORBSYM")
+
+
 def test_consistent_duplicates_accepted():
     mo, _ = read_fcidump(
         "&FCI NORB=2,NELEC=2,&END\n"

@@ -15,7 +15,6 @@ from cvqelab.geometry import load_geometry, parse_geometry
 from cvqelab.integrals import compute_integrals
 from cvqelab.pauli import to_dense
 from cvqelab.scf import MOIntegrals, run_scf, transform_to_mo
-from cvqelab.subspace import slater_condon
 
 from conftest import (
     h4_geometries,
@@ -24,6 +23,7 @@ from conftest import (
     random_cluster,
     reference_jordan_wigner,
     reference_second_quantize,
+    rule_entry,
     sz_operator,
 )
 
@@ -167,7 +167,7 @@ def test_hf_expectation_matches_scf(h2_system, well):
             sq = second_quantize(transform_to_mo(integrals, scf))
             e_hf = scf.e_hf
         phi0 = hf_fock_index(n_alpha, n_beta)
-        assert slater_condon(phi0, phi0, sq) == pytest.approx(e_hf, abs=1e-8)
+        assert rule_entry(phi0, phi0, sq) == pytest.approx(e_hf, abs=1e-8)
 
 
 def test_dual_construction_well_sector(well):
@@ -177,7 +177,7 @@ def test_dual_construction_well_sector(well):
     for i, n in enumerate(sector):
         for m in sector[i:]:
             assert dense[n, m] == pytest.approx(
-                slater_condon(n, m, well.sq), abs=1e-10
+                rule_entry(n, m, well.sq), abs=1e-10
             )
 
 
@@ -198,7 +198,7 @@ def test_dual_construction_random_fixtures():
         for n in sample:
             for m in rng.integers(0, dim, size=12):
                 assert dense[n, m] == pytest.approx(
-                    slater_condon(int(n), int(m), sq), abs=1e-10
+                    rule_entry(int(n), int(m), sq), abs=1e-10
                 )
 
 
@@ -248,4 +248,4 @@ def test_symmetry_and_dual_construction_all_builtin_geometries(label):
     rng = np.random.default_rng(hash(label) % (1 << 32))
     for n in rng.integers(0, 256, size=25):
         for m in rng.integers(0, 256, size=8):
-            assert dense[n, m] == pytest.approx(slater_condon(int(n), int(m), sq), abs=1e-10)
+            assert dense[n, m] == pytest.approx(rule_entry(int(n), int(m), sq), abs=1e-10)

@@ -22,6 +22,7 @@ from cvqelab.scf import model_hamiltonian, run_scf, transform_to_mo
 from cvqelab.statevector import StateVector, expectation, init_fock, probabilities
 
 from conftest import (
+    H6_CHAIN,
     apply_pauli_rotation,
     from_labels,
     ordered_terms,
@@ -29,15 +30,6 @@ from conftest import (
     reference_prepare_trapezoidal,
     reference_prune,
 )
-
-# six hydrogens on a line 0.9 Angstrom apart: H6+ doublet, 12 qubits
-H6_CHAIN = """\
-H 0 0 0.0
-H 0 0 0.9
-H 0 0 1.8
-H 0 0 2.7
-H 0 0 3.6
-H 0 0 4.5"""
 
 TROTTER_CASES = ({}, {"prune_threshold": 0.02, "drop_diagonal": True})
 

@@ -2,8 +2,12 @@ import numpy as np
 import pytest
 
 from cvqelab.fci import enumerate_sector
+from cvqelab.fermion import SecondQuantizedHamiltonian, second_quantize
+from cvqelab.geometry import parse_geometry
+from cvqelab.integrals import compute_integrals
 from cvqelab.pauli import to_dense
 from cvqelab.prep import TrotterConfig, build_schedule, prepare_guiding
+from cvqelab.scf import run_scf, transform_to_mo
 from cvqelab.statevector import SampleCounts, probabilities
 from cvqelab.subspace import (
     EmptySubspaceError,
@@ -14,10 +18,9 @@ from cvqelab.subspace import (
     embed_optimized,
     optimize,
     restrict_to_sector,
-    slater_condon,
 )
 
-from conftest import sample
+from conftest import H6_CHAIN, h4_geometries, rule_entry, sample, slater_condon
 
 TABLE_STATES = (7, 13, 19, 22, 25, 28, 37, 49, 52, 193, 196, 208)
 
@@ -53,14 +56,14 @@ def test_outcome_set_ordering_invariant():
 
 
 def test_diagonal_is_hf_energy(well):
-    assert slater_condon(7, 7, well.sq) == pytest.approx(well.scf.e_hf, abs=1e-8)
+    assert rule_entry(7, 7, well.sq) == pytest.approx(well.scf.e_hf, abs=1e-8)
 
 
 def test_three_orbital_difference_is_zero(well):
     # |00000111> vs |3,4,4> = |11010000>: three spin orbitals differ
-    assert slater_condon(7, 208, well.sq) == 0.0
+    assert rule_entry(7, 208, well.sq) == 0.0
     # different particle number
-    assert slater_condon(7, 15, well.sq) == 0.0
+    assert rule_entry(7, 15, well.sq) == 0.0
 
 
 def test_sector_zeroing_random_pairs(well):
@@ -71,8 +74,70 @@ def test_sector_zeroing_random_pairs(well):
     while checked < 300:
         n, m = rng.integers(0, 256, size=2)
         if sector_of(int(n)) != sector_of(int(m)):
-            assert slater_condon(int(n), int(m), well.sq) == pytest.approx(0.0, abs=1e-12)
+            assert rule_entry(int(n), int(m), well.sq) == pytest.approx(0.0, abs=1e-12)
             checked += 1
+
+
+@pytest.fixture(scope="module")
+def h4_sq(well):
+    """Second-quantized Hamiltonians of the h4_geometries and the well, by label."""
+    out = {"well": well.sq}
+    for label, geometry in h4_geometries().items():
+        integrals = compute_integrals(geometry)
+        out[label] = second_quantize(transform_to_mo(integrals, run_scf(integrals, 2, 1)))
+    return out
+
+
+def oracle_matrix(members, sq) -> np.ndarray:
+    """The subspace matrix from conftest.slater_condon, one pair at a time."""
+    mat = np.zeros((len(members), len(members)))
+    for i, n in enumerate(members):
+        for j in range(i, len(members)):
+            mat[i, j] = mat[j, i] = slater_condon(int(n), int(members[j]), sq)
+    return mat
+
+
+def test_build_subspace_matches_pair_oracle(h4_sq):
+    """Every entry within 1e-13 of the per-pair rules, with the same exact
+    zeros: the (2, 1) sectors of the built-ins and two random H4+ clusters,
+    the H6+ chain's 300-determinant (3, 2) sector, random well sets that mix
+    particle number and S_z, and every pair of 8-mode determinants under
+    unstructured tensors, where no entry vanishes by antisymmetry or spin."""
+    integrals = compute_integrals(parse_geometry(H6_CHAIN, label="h6_chain"))
+    h6 = second_quantize(transform_to_mo(integrals, run_scf(integrals, 3, 2)))
+    cases = [(enumerate_sector(8, 2, 1).determinants, sq) for sq in h4_sq.values()]
+    cases.append((enumerate_sector(12, 3, 2).determinants, h6))
+    rng = np.random.default_rng(17)
+    for size in range(1, 13):
+        for _ in range(4):
+            members = tuple(sorted(rng.choice(256, size=size, replace=False).tolist()))
+            cases.append((members, h4_sq["well"]))
+    unstructured = SecondQuantizedHamiltonian(
+        one_body=rng.normal(size=(8, 8)),
+        two_body=rng.normal(size=(8, 8, 8, 8)),
+        constant=float(rng.normal()),
+        n_spin_orbitals=8,
+    )
+    cases.append((tuple(range(256)), unstructured))
+    for members, sq in cases:
+        mat = build_subspace(OutcomeSet(members=tuple(members)), sq).matrix
+        ref = oracle_matrix(members, sq)
+        assert np.max(np.abs(mat - ref)) <= 1e-13
+        assert np.array_equal(mat == 0.0, ref == 0.0)
+
+
+def test_build_subspace_is_exact_principal_submatrix(h4_sq):
+    """A sampled matrix is bit for bit the sector matrix on its rows and
+    columns, so E* >= E_g is Cauchy interlacing on one matrix."""
+    sector = enumerate_sector(8, 2, 1).determinants
+    rng = np.random.default_rng(29)
+    for sq in (h4_sq["well"], h4_sq["cluster0"]):
+        full = build_subspace(OutcomeSet(members=sector), sq).matrix
+        for _ in range(200):
+            size = int(rng.integers(1, len(sector) + 1))
+            idx = np.sort(rng.choice(len(sector), size=size, replace=False))
+            sub = build_subspace(OutcomeSet(members=tuple(sector[i] for i in idx)), sq)
+            assert np.array_equal(sub.matrix, full[np.ix_(idx, idx)])
 
 
 def test_full_sector_matches_jw_dense(well):
