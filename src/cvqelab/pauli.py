@@ -7,11 +7,11 @@ q-th least-significant bit of a Fock index.  Terms are kept in canonical
 order, the lexicographic order of their letter labels (qubit 0 first,
 I < X < Y < Z), so iteration order is deterministic.  PauliSum.flip_groups
 sums H's strings by the qubits they flip, H = sum_k D_k X^{masks[k]}; it is
-computed once per PauliSum, on first access, and to_dense, the trapezoidal
-staircase and statevector.expectation read their matrix elements from it.
-The per-string Pauli-action kernel below feeds only those groups.  Products
-are taken over whole mask arrays (symplectic_product), the form
-Jordan-Wigner builds in.
+computed once per PauliSum, on first access, as one sparse product of the
+strings' signed coefficients with a character table (-1)^popcount(m & z),
+and to_dense, the trapezoidal staircase and statevector.expectation read
+their matrix elements from it.  Products are taken over whole mask arrays
+(symplectic_product), the form Jordan-Wigner builds in.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.sparse import csr_array
 
 COEFF_FLOOR = 1e-12
 DENSE_QUBIT_CAP = 14
@@ -31,6 +32,10 @@ _I_POWERS = np.array([1, 1j, -1, -1j])
 
 # letter of one qubit of X^x Z^z, indexed by x_bit + 2 * z_bit (up to phase)
 _MASK_LETTERS = np.array(list("IXZY"))
+
+# entries in one column block of flip_groups' character table; bounds its
+# working memory beside the rows on large registers
+_TABLE_ENTRIES = 1 << 16
 
 _BYTE_POPCOUNT = np.array([bin(b).count("1") for b in range(256)])
 
@@ -81,22 +86,52 @@ class PauliSum:
         """H grouped by flip mask, H = sum_k D_k X^{masks[k]}; read-only.
 
         The distinct x masks of H's strings, ascending and always including
-        0, and rows with rows[k, m] = <m|H|m ^ masks[k]>.  Each row is summed
-        from zeros in term order, so every matrix element gets the same
-        additions in the same order as a per-string dense build.
+        0, and rows with rows[k, m] = <m|H|m ^ masks[k]>.  String j maps
+        |m ^ x_j> to i^{3 n_y} chi_{z_j}(m) |m>, with n_y = popcount(x_j & z_j)
+        and chi_z(m) = (-1)^popcount(m & z), so each row is one sparse
+        product of its strings' signed coefficients (in the real part for
+        even n_y, the imaginary part for odd) with a character table, taken
+        in column blocks.  Every addend is exactly +-coefficient, and each
+        row is summed from zeros in term order, so every matrix element gets
+        the same additions in the same order as a per-string dense build.
         """
         n_qubits = self.n_qubits
         if n_qubits > DENSE_QUBIT_CAP:
             raise ResourceLimitError(f"{n_qubits} qubits exceeds dense cap {DENSE_QUBIT_CAP}")
         masks = np.unique(np.concatenate([np.zeros(1, dtype=np.int64), self.x]))
+        phases, column = np.unique(self.z, return_inverse=True)
+        power = mask_phases(self.x, self.z)  # i^{3 n_y}: +-1 or +-i
+        # rows 0..K-1 of the product are the real parts, K..2K-1 the imaginary
+        part_row = np.searchsorted(masks, self.x) + len(masks) * (power.imag != 0)
+        order = np.argsort(part_row, kind="stable")
+        signed = csr_array(
+            ((self.coeffs * (power.real + power.imag))[order], column[order],
+             np.searchsorted(part_row[order], np.arange(2 * len(masks) + 1))),
+            shape=(2 * len(masks), len(phases)),
+        )
+        block_bits = min(n_qubits, (_TABLE_ENTRIES // max(1, len(phases))).bit_length() - 1)
+        low = _character_table(phases, block_bits)
         rows = np.zeros((len(masks), 1 << n_qubits), dtype=complex)
-        groups = np.searchsorted(masks, self.x).tolist()
-        for x, z, coeff, k in zip(self.x.tolist(), self.z.tolist(), self.coeffs.tolist(), groups):
-            _source, phase = compile_pauli_action(x, z, n_qubits)
-            rows[k] += coeff * phase
+        for start in range(0, 1 << n_qubits, 1 << block_bits):
+            high = 1.0 - 2.0 * (_popcount(phases & start) & 1)
+            sums = signed @ (high[:, None] * low)
+            block = slice(start, start + (1 << block_bits))
+            rows.real[:, block] = sums[:len(masks)]
+            rows.imag[:, block] = sums[len(masks):]
         masks.flags.writeable = False
         rows.flags.writeable = False
         return masks, rows
+
+
+def _character_table(phases: np.ndarray, n_bits: int) -> np.ndarray:
+    """chi_z(m) = (-1)^popcount(m & z) for each z in phases and m < 2^n_bits,
+    built by sign doubling: the columns of bit q are the lower ones times
+    chi_z(2^q)."""
+    table = np.ones((len(phases), 1 << n_bits))
+    for q in range(n_bits):
+        half = 1 << q
+        table[:, half:2 * half] = table[:, :half] * (1.0 - 2.0 * ((phases >> q) & 1))[:, None]
+    return table
 
 
 def _canonical_key(x: np.ndarray, z: np.ndarray, n_qubits: int) -> np.ndarray:
@@ -179,17 +214,6 @@ def symplectic_product(x1, z1, x2, z2):
 def mask_phases(x: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Phase with X^x Z^z = phase * string: XZ = -iY, so (-i)^popcount(x & z)."""
     return _I_POWERS[-_popcount(x & z) & 3]
-
-
-def compile_pauli_action(x_mask: int, z_mask: int, n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gather index and phase arrays so (P psi)[m] = phase[m] * psi[source[m]].
-
-    P flips the X/Y qubits (x_mask) and contributes
-    i^{n_Y} (-1)^{parity(source & z_mask)} from its Y/Z qubits (z_mask).
-    """
-    n_y = bin(x_mask & z_mask).count("1")
-    source = np.arange(1 << n_qubits) ^ x_mask
-    return source, _I_POWERS[(n_y + 2 * (_popcount(source & z_mask) & 1)) & 3]
 
 
 def to_dense(h: PauliSum) -> np.ndarray:

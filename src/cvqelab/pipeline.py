@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 import os
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -93,6 +93,8 @@ class RunConfig:
         return cls(**merged)
 
     def electron_counts(self, n_atoms: int) -> tuple[int, int]:
+        if self.multiplicity < 1:
+            raise ValueError(f"multiplicity {self.multiplicity} must be >= 1")
         n_elec = n_atoms - self.charge
         n_unpaired = self.multiplicity - 1
         if (n_elec - n_unpaired) % 2 or n_unpaired > n_elec or n_elec < 1:
@@ -194,6 +196,7 @@ class PreparedRun:
     e_guiding: float
     stats: CircuitStats
     conditions: ConditionReport
+    metrics_vs_ground: dict[str, dict[str, float]]   # pTD and pGD
 
 
 def prepare_run(config: RunConfig, system: SystemModel | None = None) -> PreparedRun:
@@ -204,6 +207,7 @@ def prepare_run(config: RunConfig, system: SystemModel | None = None) -> Prepare
 
     psi_trap = prepare_trapezoidal(h0, h, schedule, sys_model.phi0)
     psi_guid = prepare_guiding(h0, h, schedule, sys_model.phi0, trotter)
+    p_td = probabilities(psi_trap, label="pTD")
     p_gd = probabilities(psi_guid, label="pGD")
     sampled_from = p_gd
     if config.noise_lambda > 0.0:
@@ -212,13 +216,17 @@ def prepare_run(config: RunConfig, system: SystemModel | None = None) -> Prepare
     return PreparedRun(
         system=sys_model,
         config=config,
-        p_td=probabilities(psi_trap, label="pTD"),
+        p_td=p_td,
         p_gd=p_gd,
         sampled_from=sampled_from,
         e_trapezoidal=expectation(psi_trap, h),
         e_guiding=expectation(psi_guid, h),
         stats=circuit_stats(h0, h, schedule, trotter),
         conditions=check_conditions(config.K, config.hbar_omega, sys_model.omega0),
+        metrics_vs_ground={
+            "pTD": compare_distributions(p_td, sys_model.ground),
+            "pGD": compare_distributions(p_gd, sys_model.ground),
+        },
     )
 
 
@@ -252,13 +260,13 @@ def finish_run(prepared: PreparedRun, seed: int) -> StageReport:
         "pGndD": sys_model.ground,
     }
     metrics = {
-        label: compare_distributions(dist, sys_model.ground)
-        for label, dist in dists.items()
-        if label != "pGndD"
+        **prepared.metrics_vs_ground,
+        "sGD": compare_distributions(s_gd, sys_model.ground),
+        "pOD": compare_distributions(p_od, sys_model.ground),
     }
 
     return StageReport(
-        config=RunConfig(**{**asdict(config), "seed": seed}),
+        config=replace(config, seed=seed),
         distributions=dists,
         e_hf=sys_model.scf.e_hf,
         e_g=e_g,

@@ -4,8 +4,8 @@ noise knob.
 
 Amplitudes are stored contiguously indexed by the Fock integer; qubit 0 is
 the least-significant bit.  Expectations read the operator's flip-mask
-groups (PauliSum.flip_groups), so the strings of H are compiled once per
-operator, not once per call.  All stochastic draws use the counter-based
+groups (PauliSum.flip_groups), which are built once per operator, not once
+per call.  All stochastic draws use the counter-based
 Philox generator keyed by an explicit 64-bit seed.
 """
 

@@ -13,7 +13,7 @@ from cvqelab.fermion import (
 )
 from cvqelab.geometry import load_geometry, parse_geometry
 from cvqelab.integrals import IntegralSet, compute_integrals
-from cvqelab.pauli import COEFF_FLOOR, PauliSum, compile_pauli_action
+from cvqelab.pauli import _I_POWERS, COEFF_FLOOR, PauliSum, _popcount
 from cvqelab.scf import ConvergenceError, SCFResult, model_hamiltonian, run_scf, transform_to_mo
 from cvqelab.statevector import (
     SampleCounts,
@@ -113,6 +113,30 @@ def sz_operator(n_qubits: int) -> PauliSum:
         sign = 1.0 if q % 2 == 0 else -1.0
         terms["I" * q + "Z" + "I" * (n_qubits - q - 1)] = -0.25 * sign
     return from_labels(terms)
+
+
+def compile_pauli_action(x_mask: int, z_mask: int, n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gather index and phase arrays so (P psi)[m] = phase[m] * psi[source[m]].
+
+    P flips the X/Y qubits (x_mask) and contributes
+    i^{n_Y} (-1)^{parity(source & z_mask)} from its Y/Z qubits (z_mask).
+    The one-string action that the per-string references are built from.
+    """
+    n_y = bin(x_mask & z_mask).count("1")
+    source = np.arange(1 << n_qubits) ^ x_mask
+    return source, _I_POWERS[(n_y + 2 * (_popcount(source & z_mask) & 1)) & 3]
+
+
+def reference_flip_groups(h: PauliSum) -> tuple[np.ndarray, np.ndarray]:
+    """Flip-mask groups summed one compiled string at a time, in term order:
+    the reference that PauliSum.flip_groups must match byte for byte."""
+    masks = np.unique(np.concatenate([np.zeros(1, dtype=np.int64), h.x]))
+    rows = np.zeros((len(masks), 1 << h.n_qubits), dtype=complex)
+    groups = np.searchsorted(masks, h.x).tolist()
+    for x, z, coeff, k in zip(h.x.tolist(), h.z.tolist(), h.coeffs.tolist(), groups):
+        _source, phase = compile_pauli_action(x, z, h.n_qubits)
+        rows[k] += coeff * phase
+    return masks, rows
 
 
 def rotate_amplitudes(
@@ -752,6 +776,16 @@ def h4_hamiltonians(well):
         h = jordan_wigner(second_quantize(transform_to_mo(integrals, scf)))
         out[label] = (model_pauli(model_hamiltonian(scf)), h, hf_fock_index(2, 1))
     return out
+
+
+@pytest.fixture(scope="module")
+def h6_chain():
+    """(h0, h, phi0) of the H6+ chain; built per module, so a module's first
+    flip_groups read of it pays the group build."""
+    integrals = compute_integrals(parse_geometry(H6_CHAIN, label="h6_chain"))
+    scf = run_scf(integrals, 3, 2)
+    h = jordan_wigner(second_quantize(transform_to_mo(integrals, scf)))
+    return model_pauli(model_hamiltonian(scf)), h, hf_fock_index(3, 2)
 
 
 def random_cluster(rng: np.random.Generator, n_atoms: int) -> str:

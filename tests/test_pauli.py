@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from cvqelab.pauli import (
     PauliSum,
     ResourceLimitError,
-    compile_pauli_action,
+    _popcount,
     interpolate,
     mask_phases,
     prune,
@@ -15,6 +16,7 @@ from cvqelab.pauli import (
 )
 
 from conftest import (
+    compile_pauli_action,
     from_labels,
     kron_dense,
     kron_oracle,
@@ -22,6 +24,7 @@ from conftest import (
     label_terms,
     number_operator,
     random_sum,
+    reference_flip_groups,
     reference_interpolate,
     reference_prune,
     reference_to_dense,
@@ -130,6 +133,37 @@ def test_flip_groups_rows_are_matrix_elements(well):
             masks[0] = 1
         with pytest.raises(ValueError):
             rows[0, 0] = 1.0
+
+
+def test_flip_groups_bit_identical_to_per_string_build(h4_hamiltonians, h6_chain):
+    """The character-table product gives the per-string build's bytes: the
+    h and h0 of the built-ins and two H4+ clusters, the H6+ chain, and random
+    sums of 1-10 qubits, which hold strings of every n_y mod 4."""
+    rng = np.random.default_rng(61)
+    cases = [h for h0, h, _phi0 in (*h4_hamiltonians.values(), h6_chain) for h in (h0, h)]
+    randoms = [random_sum(rng, n, 6 * n) for n in range(1, 11) for _ in range(3)]
+    n_y = np.concatenate([_popcount(h.x & h.z) for h in randoms])
+    assert set((n_y & 3).tolist()) == {0, 1, 2, 3}
+    for h in cases + randoms + [from_labels({}, 3)]:
+        masks, rows = h.flip_groups
+        ref_masks, ref_rows = reference_flip_groups(h)
+        assert masks.tobytes() == ref_masks.tobytes()
+        assert rows.tobytes() == ref_rows.tobytes(), h.n_qubits
+
+
+def test_flip_groups_h6_chain_memory_guard(h6_chain):
+    """The 12-qubit build holds the rows and one column block of the
+    character table, never the whole (phase masks x 4096) table."""
+    _h0, h, _phi0 = h6_chain
+    fresh = PauliSum.from_masks(h.x, h.z, h.coeffs, h.n_qubits)
+    tracemalloc.start()
+    try:
+        _masks, rows = fresh.flip_groups
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rows.shape == (148, 4096)
+    assert peak <= rows.nbytes + (2 << 20)
 
 
 def test_to_dense_bit_identical_to_per_string_reference(h4_hamiltonians):

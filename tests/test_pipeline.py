@@ -1,12 +1,14 @@
 import itertools
 import json
 import sys
+from functools import cached_property
 
 import pytest
 
 from cvqelab import pauli, subspace
 from cvqelab.cli import main as cli_main
 from cvqelab.fci import enumerate_sector
+from cvqelab.pauli import PauliSum
 from cvqelab.pipeline import (
     REGIME_PRESETS,
     RunConfig,
@@ -83,28 +85,27 @@ def test_run_path_builds_no_dense_matrix(monkeypatch, well_system):
 
 
 def test_prepare_run_compiles_each_string_once(monkeypatch):
-    """H's strings are compiled once per operator, for its flip-mask groups:
-    the trapezoidal staircase and both energies read the same groups, and a
-    second run on the same system compiles nothing.  The system is built
-    here, so no other test has filled its groups yet."""
-    original, calls = pauli.compile_pauli_action, []
+    """H's strings are built into flip-mask groups once per operator: the
+    trapezoidal staircase and both energies read the same groups, and a
+    second run on the same system builds none.  The system is built here, so
+    no other test has filled its groups yet."""
+    original, built = PauliSum.flip_groups, []
 
-    def counting(x_mask, z_mask, n_qubits):
-        calls.append(x_mask)
-        return original(x_mask, z_mask, n_qubits)
+    def counting(h):
+        built.append(h)
+        return original.func(h)
 
-    for name, module in list(sys.modules.items()):
-        holds = getattr(module, "compile_pauli_action", None) is original
-        if name.split(".")[0] == "cvqelab" and holds:
-            monkeypatch.setattr(module, "compile_pauli_action", counting)
+    recorded = cached_property(counting)
+    recorded.__set_name__(PauliSum, "flip_groups")
+    monkeypatch.setattr(PauliSum, "flip_groups", recorded)
     config = RunConfig.for_regime("C", shots=20000)
     system = build_system(config)
-    assert calls == []
+    assert built == []
     first = prepare_run(config, system)
-    assert len(calls) == len(system.h_pauli) + len(system.h0_pauli) == 370
-    calls.clear()
+    assert sorted(map(id, built)) == sorted(map(id, (system.h_pauli, system.h0_pauli)))
+    built.clear()
     second = prepare_run(config, system)
-    assert calls == []
+    assert built == []
     assert (second.e_trapezoidal, second.e_guiding) == (first.e_trapezoidal, first.e_guiding)
 
 
@@ -187,6 +188,9 @@ def test_electron_counts():
     assert RunConfig(charge=0, multiplicity=2).electron_counts(3) == (2, 1)
     with pytest.raises(ValueError):
         RunConfig(charge=0, multiplicity=2).electron_counts(4)
+    for multiplicity in (0, -1):
+        with pytest.raises(ValueError, match="multiplicity"):
+            RunConfig(multiplicity=multiplicity).electron_counts(4)
 
 
 def test_regime_presets():
@@ -364,6 +368,8 @@ def test_cli_error_exit_code(capsys):
         (["run", "--geometry", "missing.xyz", "--K", "1"], "geometry"),
         (["run", "--regime", "C", "--shots", "100", "--count-threshold", "1000"], "subspace"),
         (["run", "--regime", "C", "--K", "0"], "prep"),
+        (["check-conditions", "--multiplicity", "0"], "pipeline"),
+        (["check-conditions", "--multiplicity", "-1"], "pipeline"),
     ],
 )
 def test_cli_error_names_stage(argv, stage, capsys):

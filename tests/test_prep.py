@@ -4,9 +4,6 @@ import numpy as np
 import pytest
 
 from cvqelab.fci import enumerate_sector
-from cvqelab.fermion import hf_fock_index, jordan_wigner, model_pauli, second_quantize
-from cvqelab.geometry import parse_geometry
-from cvqelab.integrals import compute_integrals
 from cvqelab.pauli import to_dense
 from cvqelab.prep import (
     TERM_ORDERS,
@@ -18,11 +15,9 @@ from cvqelab.prep import (
     prepare_guiding,
     prepare_trapezoidal,
 )
-from cvqelab.scf import model_hamiltonian, run_scf, transform_to_mo
 from cvqelab.statevector import StateVector, expectation, init_fock, probabilities
 
 from conftest import (
-    H6_CHAIN,
     apply_pauli_rotation,
     from_labels,
     ordered_terms,
@@ -378,15 +373,6 @@ def test_trapezoidal_rejects_fock_index_outside_register(well):
         for phi0 in (-1, 256):
             with pytest.raises(ValueError, match="outside"):
                 prepare(well.h0_pauli, well.h_pauli, schedule, phi0)
-
-
-@pytest.fixture(scope="module")
-def h6_chain():
-    """(h0, h, phi0) of the H6+ chain."""
-    integrals = compute_integrals(parse_geometry(H6_CHAIN, label="h6_chain"))
-    scf = run_scf(integrals, 3, 2)
-    h = jordan_wigner(second_quantize(transform_to_mo(integrals, scf)))
-    return model_pauli(model_hamiltonian(scf)), h, hf_fock_index(3, 2)
 
 
 def traced_peak(prepare, *args):
