@@ -2,8 +2,10 @@
 
 Conventions: chemists' notation (pq|rs), 1-based orbital indices, the
 trailing all-zero-index record carrying the nuclear repulsion constant.
-Permutationally redundant two-electron entries are written once in canonical
-order (p >= q, r >= s, pq-pair >= rs-pair) and fanned back out on read.
+Each two-electron value is written once, as (pq|rs) with p >= q, r >= s and
+pair {p, q} at or after pair {r, s} in `integrals.pair_index` order; the
+reader stores records in a pair matrix and expands it with
+`integrals.from_pair_matrix`.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .integrals import from_pair_matrix, pair_index
 from .scf import MOIntegrals
 
 
@@ -25,18 +28,6 @@ class FCIDumpMetadata:
     n_orb: int
     n_elec: int
     ms2: int
-    orbsym: tuple[int, ...]
-    isym: int
-
-
-def _canonical_two_body(p: int, q: int, r: int, s: int) -> tuple[int, int, int, int]:
-    if p < q:
-        p, q = q, p
-    if r < s:
-        r, s = s, r
-    if (p, q) < (r, s):
-        p, q, r, s = r, s, p, q
-    return p, q, r, s
 
 
 def write_fcidump(mo: MOIntegrals, n_elec: int, ms2: int = 0) -> str:
@@ -48,18 +39,12 @@ def write_fcidump(mo: MOIntegrals, n_elec: int, ms2: int = 0) -> str:
         "  ISYM=1,",
         "&END",
     ]
-    written = set()
-    for p in range(n):
-        for q in range(p + 1):
-            for r in range(n):
-                for s in range(r + 1):
-                    key = _canonical_two_body(p + 1, q + 1, r + 1, s + 1)
-                    if key in written:
-                        continue
-                    written.add(key)
-                    val = mo.g_mo[key[0] - 1, key[1] - 1, key[2] - 1, key[3] - 1]
-                    if abs(val) > 1e-16:
-                        lines.append(f"{val:23.16e} {key[0]:3d} {key[1]:3d} {key[2]:3d} {key[3]:3d}")
+    pairs = [(p, q) for p in range(n) for q in range(p + 1)]
+    for k, (r, s) in enumerate(pairs):
+        for p, q in pairs[k:]:
+            val = mo.g_mo[p, q, r, s]
+            if abs(val) > 1e-16:
+                lines.append(f"{val:23.16e} {p+1:3d} {q+1:3d} {r+1:3d} {s+1:3d}")
     for p in range(n):
         for q in range(p + 1):
             val = mo.h_mo[p, q]
@@ -89,7 +74,7 @@ def read_fcidump(text: str) -> tuple[MOIntegrals, FCIDumpMetadata]:
     ms2 = int(str(field("MS2", "0")).strip().rstrip(",") or 0)
     orbsym_raw = str(field("ORBSYM", "")).strip().rstrip(",")
     orbsym = tuple(int(v) for v in orbsym_raw.split(",") if v.strip()) if orbsym_raw else tuple([1] * n_orb)
-    isym = int(str(field("ISYM", "1")).strip().rstrip(",") or 1)
+    int(str(field("ISYM", "1")).strip().rstrip(",") or 1)  # must parse; unused
 
     if n_orb < 1:
         raise FCIDumpFormatError(f"NORB = {n_orb} invalid")
@@ -104,9 +89,10 @@ def read_fcidump(text: str) -> tuple[MOIntegrals, FCIDumpMetadata]:
 
     body = text[header_match.end():]
     h = np.zeros((n_orb, n_orb))
-    g = np.zeros((n_orb, n_orb, n_orb, n_orb))
+    index = pair_index(n_orb)
+    g_pairs = np.zeros((n_orb * (n_orb + 1) // 2,) * 2)
     e_nuc = 0.0
-    seen: dict[tuple[int, int, int, int], float] = {}
+    seen: dict[tuple, float] = {}   # h (p, q, 0, 0) or g (pair, pair) keys
     for line_no, line in enumerate(body.splitlines(), start=1):
         line = line.strip()
         if not line:
@@ -136,17 +122,16 @@ def read_fcidump(text: str) -> tuple[MOIntegrals, FCIDumpMetadata]:
         else:
             if 0 in (i, j, k, l):
                 raise FCIDumpFormatError(f"record {line_no}: partial zero indices")
-            key = _canonical_two_body(i, j, k, l)
+            pq, rs = index[i - 1, j - 1], index[k - 1, l - 1]
+            key = (max(pq, rs), min(pq, rs))
             if key in seen and abs(seen[key] - val) > 1e-10:
                 raise FCIDumpFormatError(
                     f"record {line_no}: conflicting duplicate for ({i}{j}|{k}{l})"
                 )
             seen[key] = val
-            for a, b in ((i, j), (j, i)):
-                for c, d in ((k, l), (l, k)):
-                    g[a - 1, b - 1, c - 1, d - 1] = val
-                    g[c - 1, d - 1, a - 1, b - 1] = val
+            g_pairs[pq, rs] = g_pairs[rs, pq] = val
 
+    g = from_pair_matrix(g_pairs, n_orb)
     mo = MOIntegrals(h_mo=h, g_mo=g, e_nuc=e_nuc, n_mo=n_orb)
-    meta = FCIDumpMetadata(n_orb=n_orb, n_elec=n_elec, ms2=ms2, orbsym=orbsym, isym=isym)
+    meta = FCIDumpMetadata(n_orb=n_orb, n_elec=n_elec, ms2=ms2)
     return mo, meta

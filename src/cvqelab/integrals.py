@@ -6,7 +6,9 @@ forms involving the zeroth Boys function
     F0(T) = (1/2) sqrt(pi/T) erf(sqrt(T)),    F0(0) = 1.
 
 All quantities are in Hartree/Bohr.  Two-electron integrals are stored as the
-full rank-4 tensor in chemists' notation (pq|rs).
+full rank-4 tensor in chemists' notation (pq|rs).  Its 8-fold permutational
+symmetry is encoded once, here: `pair_index` numbers the orbital pairs and
+`from_pair_matrix` expands a symmetric pair-by-pair matrix into (pq|rs).
 """
 
 from __future__ import annotations
@@ -76,6 +78,9 @@ def compute_integrals(geometry: Geometry) -> IntegralSet:
     overlap = np.empty((n_ao, n_ao))
     kinetic = np.empty((n_ao, n_ao))
     nuclear = np.empty((n_ao, n_ao))
+    # per AO pair, in pair_index order: contraction weights with the Gaussian
+    # prefactor, exponent sums and product centres, one entry per primitive pair
+    pair_data = []
 
     for p in range(n_ao):
         for q in range(p + 1):
@@ -85,7 +90,8 @@ def compute_integrals(geometry: Geometry) -> IntegralSet:
             ab = a + b
             mu = a * b / ab
             r2 = float(np.dot(centers[p] - centers[q], centers[p] - centers[q]))
-            s_prim = (np.pi / ab) ** 1.5 * np.exp(-mu * r2)
+            pref = np.exp(-mu * r2)
+            s_prim = (np.pi / ab) ** 1.5 * pref
             t_prim = mu * (3.0 - 2.0 * mu * r2) * s_prim
 
             # Gaussian product center, one per primitive pair
@@ -93,11 +99,12 @@ def compute_integrals(geometry: Geometry) -> IntegralSet:
             v_prim = np.zeros_like(s_prim)
             for k, nuc in enumerate(centers):
                 t_arg = ab * np.sum((pc - nuc) ** 2, axis=-1)
-                v_prim -= charges[k] * (2.0 * np.pi / ab) * np.exp(-mu * r2) * boys0(t_arg)
+                v_prim -= charges[k] * (2.0 * np.pi / ab) * pref * boys0(t_arg)
 
             overlap[p, q] = overlap[q, p] = float(np.sum(cc * s_prim))
             kinetic[p, q] = kinetic[q, p] = float(np.sum(cc * t_prim))
             nuclear[p, q] = nuclear[q, p] = float(np.sum(cc * v_prim))
+            pair_data.append(((cc * pref).ravel(), ab.ravel(), pc.reshape(-1, 3)))
 
     eig_min = float(np.linalg.eigvalsh(overlap)[0])
     if eig_min < OVERLAP_CONDITION_FLOOR:
@@ -105,7 +112,7 @@ def compute_integrals(geometry: Geometry) -> IntegralSet:
             f"overlap matrix min eigenvalue {eig_min:.3e} below {OVERLAP_CONDITION_FLOOR}"
         )
 
-    eri = _electron_repulsion(alpha, coef, centers)
+    eri = _electron_repulsion(pair_data, n_ao)
     return IntegralSet(
         n_ao=n_ao,
         overlap=overlap,
@@ -115,29 +122,28 @@ def compute_integrals(geometry: Geometry) -> IntegralSet:
     )
 
 
-def _electron_repulsion(alpha: np.ndarray, coef: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Full (pq|rs) tensor via the s-Gaussian closed form, filled by 8-fold symmetry."""
-    n_ao = alpha.shape[0]
-    eri = np.zeros((n_ao, n_ao, n_ao, n_ao))
+def pair_index(n: int) -> np.ndarray:
+    """(n, n) position of the orbital pair {p, q} in the order (0,0), (1,0),
+    (1,1), (2,0), ...: max * (max + 1) / 2 + min."""
+    i = np.arange(n)
+    hi = np.maximum.outer(i, i)
+    return hi * (hi + 1) // 2 + np.minimum.outer(i, i)
 
-    pairs = [(p, q) for p in range(n_ao) for q in range(p + 1)]
-    # Precompute per-pair primitive data: exponent sums, prefactors, product centers.
-    pair_data = []
-    for p, q in pairs:
-        a = alpha[p][:, None]
-        b = alpha[q][None, :]
-        cc = (coef[p][:, None] * coef[q][None, :]).ravel()
-        zeta = (a + b).ravel()
-        r2 = float(np.dot(centers[p] - centers[q], centers[p] - centers[q]))
-        pref = (np.exp(-(a * b / (a + b)) * r2)).ravel()
-        pc = ((a[..., None] * centers[p] + b[..., None] * centers[q]) / (a + b)[..., None])
-        pair_data.append((cc * pref, zeta, pc.reshape(-1, 3)))
 
-    for i, (p, q) in enumerate(pairs):
-        cp, zp, rp = pair_data[i]
-        for j in range(i + 1):
-            r, s = pairs[j]
-            cq, zq, rq = pair_data[j]
+def from_pair_matrix(m: np.ndarray, n: int) -> np.ndarray:
+    """(pq|rs) tensor m[index[p, q], index[r, s]] of a symmetric pair matrix.
+
+    This gather is the one place the 8-fold permutational symmetry of real
+    (pq|rs) is written down."""
+    index = pair_index(n)
+    return m[index[:, :, None, None], index[None, None, :, :]]
+
+
+def _electron_repulsion(pair_data: list, n_ao: int) -> np.ndarray:
+    """Full (pq|rs) tensor via the s-Gaussian closed form, one value per pair of AO pairs."""
+    m = np.zeros((len(pair_data), len(pair_data)))
+    for i, (cp, zp, rp) in enumerate(pair_data):
+        for j, (cq, zq, rq) in enumerate(pair_data[: i + 1]):
             zsum = zp[:, None] + zq[None, :]
             rho = zp[:, None] * zq[None, :] / zsum
             d2 = np.sum((rp[:, None, :] - rq[None, :, :]) ** 2, axis=-1)
@@ -146,9 +152,5 @@ def _electron_repulsion(alpha: np.ndarray, coef: np.ndarray, centers: np.ndarray
                 / (zp[:, None] * zq[None, :] * np.sqrt(zsum))
                 * boys0(rho * d2)
             )
-            val = float(np.einsum("i,j,ij->", cp, cq, kern))
-            for a_, b_ in ((p, q), (q, p)):
-                for c_, d_ in ((r, s), (s, r)):
-                    eri[a_, b_, c_, d_] = val
-                    eri[c_, d_, a_, b_] = val
-    return eri
+            m[i, j] = m[j, i] = float(np.einsum("i,j,ij->", cp, cq, kern))
+    return from_pair_matrix(m, n_ao)

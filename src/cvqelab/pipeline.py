@@ -97,13 +97,15 @@ class RunConfig:
             raise ValueError(f"multiplicity {self.multiplicity} must be >= 1")
         n_elec = n_atoms - self.charge
         n_unpaired = self.multiplicity - 1
-        if (n_elec - n_unpaired) % 2 or n_unpaired > n_elec or n_elec < 1:
+        n_beta, odd = divmod(n_elec - n_unpaired, 2)
+        n_alpha = n_beta + n_unpaired
+        # one spatial orbital per hydrogen caps n_alpha
+        if odd or n_beta < 0 or n_elec < 1 or n_alpha > n_atoms:
             raise ValueError(
                 f"charge {self.charge} / multiplicity {self.multiplicity} "
                 f"infeasible for {n_atoms} hydrogens"
             )
-        n_beta = (n_elec - n_unpaired) // 2
-        return n_beta + n_unpaired, n_beta
+        return n_alpha, n_beta
 
     def trotter(self) -> TrotterConfig:
         return TrotterConfig(
@@ -177,9 +179,7 @@ def build_system(config: RunConfig, geometry: Geometry | None = None) -> SystemM
         phi0=hf_fock_index(n_alpha, n_beta),
         sector=sector,
         fci_energy=fci.energy,
-        ground=probabilities(
-            embed_optimized(fci.theta, fci.basis, h.n_qubits), label="pGndD"
-        ),
+        ground=probabilities(embed_optimized(fci.theta, fci.basis, h.n_qubits)),
     )
 
 
@@ -207,8 +207,8 @@ def prepare_run(config: RunConfig, system: SystemModel | None = None) -> Prepare
 
     psi_trap = prepare_trapezoidal(h0, h, schedule, sys_model.phi0)
     psi_guid = prepare_guiding(h0, h, schedule, sys_model.phi0, trotter)
-    p_td = probabilities(psi_trap, label="pTD")
-    p_gd = probabilities(psi_guid, label="pGD")
+    p_td = probabilities(psi_trap)
+    p_gd = probabilities(psi_guid)
     sampled_from = p_gd
     if config.noise_lambda > 0.0:
         sampled_from = mix_noise(p_gd, config.noise_lambda, h.n_qubits)
@@ -237,13 +237,13 @@ def finish_run(prepared: PreparedRun, seed: int) -> StageReport:
     n_qubits = sys_model.h_pauli.n_qubits
 
     counts = sample_distribution(prepared.sampled_from, config.shots, seed)
-    s_gd = counts.empirical_distribution(label="sGD")
+    s_gd = counts.empirical_distribution()
     outcomes = restrict_to_sector(
         collect_outcomes(counts, config.count_threshold), sys_model.sector
     )
     opt = optimize(build_subspace(outcomes, sys_model.sq))
     psi_opt = embed_optimized(opt.theta, outcomes, n_qubits)
-    p_od = probabilities(psi_opt, label="pOD")
+    p_od = probabilities(psi_opt)
 
     e_g = sys_model.fci_energy
     errors_ev = {
@@ -336,9 +336,8 @@ def sweep_reaction_path(
         raise ValueError("at least one geometry required")
     rows = []
     for label in geometries:
-        geom = load_geometry(label)
-        cfg = RunConfig(**{**asdict(config), "geometry": label})
-        system = build_system(cfg, geometry=geom)
+        cfg = replace(config, geometry=label)
+        system = build_system(cfg)
         report = run_pipeline(cfg, system=system)
         row = {
             "geometry": label,
@@ -359,16 +358,9 @@ def sweep_reaction_path(
     result = {"rows": rows}
     if len(rows) >= 2:
         first, last = rows[0], rows[-1]
-        result["delta_fci_ev"] = (last["e_fci"] - first["e_fci"]) * EV_PER_HARTREE
-        result["delta_cvqe_ev"] = (last["e_cvqe"] - first["e_cvqe"]) * EV_PER_HARTREE
-        result["delta_hf_ev"] = (last["e_hf"] - first["e_hf"]) * EV_PER_HARTREE
-        if bsc_table is not None:
-            result["delta_fci_corrected_ev"] = (
-                last["e_fci_corrected"] - first["e_fci_corrected"]
-            ) * EV_PER_HARTREE
-            result["delta_cvqe_corrected_ev"] = (
-                last["e_cvqe_corrected"] - first["e_cvqe_corrected"]
-            ) * EV_PER_HARTREE
+        for key in ("e_fci", "e_cvqe", "e_hf", "e_fci_corrected", "e_cvqe_corrected"):
+            if key in first:
+                result[f"delta_{key[2:]}_ev"] = (last[key] - first[key]) * EV_PER_HARTREE
     return result
 
 
@@ -392,7 +384,7 @@ def omega_scan(
         psi = prepare_guiding(
             sys_model.h0_pauli, sys_model.h_pauli, schedule, sys_model.phi0, trotter
         )
-        dist = probabilities(psi, label="pGD")
+        dist = probabilities(psi)
         rows.append(
             {
                 "hbar_omega": omega,

@@ -112,8 +112,8 @@ def run_scf(integrals: IntegralSet, n_alpha: int, n_beta: int) -> SCFResult:
     """Converge ROHF and return the lowest-energy solution found."""
     if n_alpha < n_beta:
         raise ValueError("n_alpha must be >= n_beta")
-    if n_alpha + n_beta > 2 * integrals.n_ao:
-        raise ValueError("more electrons than spin orbitals")
+    if n_alpha > integrals.n_ao:  # with n_alpha >= n_beta, also caps n_beta
+        raise ValueError(f"{n_alpha} alpha electrons exceed {integrals.n_ao} spatial orbitals")
     if n_alpha < 1:
         raise ValueError("at least one electron required")
     n_docc, n_socc = n_beta, n_alpha - n_beta

@@ -40,16 +40,13 @@ class SampleCounts:
         if sum(self.counts.values()) != self.shots:
             raise ValueError("counts do not sum to the shot total")
 
-    def empirical_distribution(self, label: str = "sGD") -> "Distribution":
-        return Distribution(
-            probs={n: c / self.shots for n, c in self.counts.items()}, label=label
-        )
+    def empirical_distribution(self) -> "Distribution":
+        return Distribution(probs={n: c / self.shots for n, c in self.counts.items()})
 
 
 @dataclass(frozen=True)
 class Distribution:
     probs: dict[int, float]
-    label: str = ""
 
     def __post_init__(self):
         total = sum(self.probs.values())
@@ -90,16 +87,14 @@ def expectation(state: StateVector, h: PauliSum) -> float:
     return float(total.real)
 
 
-def probabilities(state: StateVector, label: str = "") -> Distribution:
+def probabilities(state: StateVector) -> Distribution:
     """Born-rule distribution; entries below 1e-16 are omitted."""
     p = np.abs(state.amplitudes) ** 2
     total = p.sum()
     if abs(total - 1.0) > NORM_TOL:
         raise ValueError(f"state norm^2 = {total}, not normalized")
     p = p / total
-    return Distribution(
-        probs={int(n): float(p[n]) for n in np.nonzero(p > 1e-16)[0]}, label=label
-    )
+    return Distribution(probs={int(n): float(p[n]) for n in np.nonzero(p > 1e-16)[0]})
 
 
 def sample_distribution(dist: Distribution, shots: int, seed: int) -> SampleCounts:
@@ -123,4 +118,4 @@ def mix_noise(dist: Distribution, lam: float, n_qubits: int) -> Distribution:
     dim = 1 << n_qubits
     floor = lam / dim
     probs = {n: (1.0 - lam) * dist.probability(n) + floor for n in range(dim)}
-    return Distribution(probs=probs, label=dist.label)
+    return Distribution(probs=probs)

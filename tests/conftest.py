@@ -260,6 +260,39 @@ def reference_second_quantize(mo) -> SecondQuantizedHamiltonian:
     )
 
 
+def reference_write_fcidump(mo, n_elec: int, ms2: int = 0) -> str:
+    """FCIDUMP text from a walk over every (pq, rs) pair of pairs that maps
+    each to its canonical 1-based key (p >= q, r >= s, (p, q) >= (r, s)) and
+    writes a key the first time it is seen: the reference that
+    fcidump.write_fcidump must match byte for byte."""
+    n = mo.n_mo
+    lines = [
+        f"&FCI NORB={n},NELEC={n_elec},MS2={ms2},",
+        "  ORBSYM=" + ",".join(["1"] * n) + ",",
+        "  ISYM=1,",
+        "&END",
+    ]
+    written = set()
+    for p in range(1, n + 1):
+        for q in range(1, p + 1):
+            for r in range(1, n + 1):
+                for s in range(1, r + 1):
+                    key = max((p, q, r, s), (r, s, p, q))
+                    if key in written:
+                        continue
+                    written.add(key)
+                    val = mo.g_mo[key[0] - 1, key[1] - 1, key[2] - 1, key[3] - 1]
+                    if abs(val) > 1e-16:
+                        lines.append(f"{val:23.16e} {key[0]:3d} {key[1]:3d} {key[2]:3d} {key[3]:3d}")
+    for p in range(n):
+        for q in range(p + 1):
+            val = mo.h_mo[p, q]
+            if abs(val) > 1e-16:
+                lines.append(f"{val:23.16e} {p+1:3d} {q+1:3d}   0   0")
+    lines.append(f"{mo.e_nuc:23.16e}   0   0   0   0")
+    return "\n".join(lines) + "\n"
+
+
 def reference_prepare_trapezoidal(h0: PauliSum, h: PauliSum, schedule, phi0: int) -> np.ndarray:
     """Trapezoidal staircase on the indices reachable from phi0, found by a
     fixed-point search over the dense 2^Q x 2^Q coupling matrix: the
@@ -736,9 +769,7 @@ class WellSystem:
         self.model = model_hamiltonian(self.scf)
         self.h0_pauli = model_pauli(self.model)
         self.fci = solve_fci(enumerate_sector(8, 2, 1), self.sq)
-        self.ground = probabilities(
-            embed_optimized(self.fci.theta, self.fci.basis, 8), label="pGndD"
-        )
+        self.ground = probabilities(embed_optimized(self.fci.theta, self.fci.basis, 8))
         self.phi0 = 7
 
 

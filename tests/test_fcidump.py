@@ -7,7 +7,11 @@ from cvqelab.cli import main as cli_main
 from cvqelab.fci import enumerate_sector, solve_fci
 from cvqelab.fcidump import FCIDumpFormatError, read_fcidump, write_fcidump
 from cvqelab.fermion import second_quantize
-from cvqelab.scf import transform_to_mo
+from cvqelab.geometry import parse_geometry
+from cvqelab.integrals import compute_integrals
+from cvqelab.scf import run_scf, transform_to_mo
+
+from conftest import H6_CHAIN, h4_geometries, reference_write_fcidump
 
 DATA = Path(__file__).parent / "data"
 
@@ -30,6 +34,41 @@ def test_round_trip_well(well):
     sq = second_quantize(again)
     solution = solve_fci(enumerate_sector(8, 2, 1), sq)
     assert solution.energy == pytest.approx(well.fci.energy, abs=1e-12)
+
+
+def test_writer_bytes_match_dedupe_reference(well):
+    """write_fcidump walks the pair table directly; its text must equal the
+    dedupe-set walk's on the built-ins, two random H4+ clusters and the H6+
+    chain."""
+    cases = {"well": (well.mo, 2, 1)}
+    for label, geometry in h4_geometries().items():
+        integrals = compute_integrals(geometry)
+        cases[label] = (transform_to_mo(integrals, run_scf(integrals, 2, 1)), 2, 1)
+    integrals = compute_integrals(parse_geometry(H6_CHAIN))
+    cases["h6_chain"] = (transform_to_mo(integrals, run_scf(integrals, 3, 2)), 3, 2)
+    for label, (mo, n_alpha, n_beta) in cases.items():
+        n_elec, ms2 = n_alpha + n_beta, n_alpha - n_beta
+        assert write_fcidump(mo, n_elec, ms2) == reference_write_fcidump(mo, n_elec, ms2), label
+
+
+def test_reader_accepts_any_permutation_of_each_record(well):
+    """Rewriting every two-body record as a random one of its 8 index
+    permutations, in shuffled record order, reads back the same g_mo bytes."""
+    text = write_fcidump(well.mo, n_elec=3, ms2=1)
+    header, body = text.splitlines()[:4], text.splitlines()[4:]
+    rng = np.random.default_rng(5)
+    records = []
+    for line in body:
+        val, *idx = line.split()
+        if "0" not in idx:
+            p, q, r, s = idx
+            perms = [(p, q, r, s), (q, p, r, s), (p, q, s, r), (q, p, s, r),
+                     (r, s, p, q), (s, r, p, q), (r, s, q, p), (s, r, q, p)]
+            line = " ".join((val, *perms[rng.integers(8)]))
+        records.append(line)
+    shuffled = [records[i] for i in rng.permutation(len(records))]
+    again, _ = read_fcidump("\n".join(header + shuffled) + "\n")
+    assert again.g_mo.tobytes() == read_fcidump(text)[0].g_mo.tobytes()
 
 
 def test_constant_record_sets_nuclear_term():

@@ -9,7 +9,13 @@ from scipy.special import erf
 
 from cvqelab.constants import BOHR_PER_ANGSTROM, STO6G_H_COEFFS, STO6G_H_EXPONENTS
 from cvqelab.geometry import load_geometry, parse_geometry
-from cvqelab.integrals import IllConditionedBasisError, boys0, compute_integrals
+from cvqelab.integrals import (
+    IllConditionedBasisError,
+    boys0,
+    compute_integrals,
+    from_pair_matrix,
+    pair_index,
+)
 
 
 def contracted_1s():
@@ -150,6 +156,32 @@ def test_eri_eightfold_symmetry_ao():
             (r, s, p, q), (s, r, p, q), (r, s, q, p), (s, r, q, p),
         ):
             assert abs(g[a, b, c_, d] - base) < 1e-10
+
+
+def test_pair_matrix_expansion_eightfold_and_round_trip():
+    """from_pair_matrix gives one value to all 8 permutations of every
+    (pq|rs), a different one to each pair of pairs, and reading (pq|rs) back
+    at p >= q, r >= s recovers the pair matrix."""
+    n = 5
+    pairs = [(p, q) for p in range(n) for q in range(p + 1)]
+    index = pair_index(n)
+    assert [index[p, q] for p, q in pairs] == list(range(len(pairs)))
+    assert np.array_equal(index, index.T)
+    rng = np.random.default_rng(19)
+    m = rng.normal(size=(len(pairs), len(pairs)))
+    m = m + m.T
+    g = from_pair_matrix(m, n)
+    assert g.shape == (n,) * 4
+    for p, q, r, s in np.ndindex(g.shape):
+        base = g[p, q, r, s]
+        for a, b, c_, d in (
+            (q, p, r, s), (p, q, s, r), (q, p, s, r),
+            (r, s, p, q), (s, r, p, q), (r, s, q, p), (s, r, q, p),
+        ):
+            assert g[a, b, c_, d] == base
+    assert len(np.unique(g)) == len(pairs) * (len(pairs) + 1) // 2
+    back = np.array([[g[p, q, r, s] for r, s in pairs] for p, q in pairs])
+    assert back.tobytes() == m.tobytes()
 
 
 def test_overlap_positive_definite_on_builtin_geometries():

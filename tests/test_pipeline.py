@@ -191,6 +191,12 @@ def test_electron_counts():
     for multiplicity in (0, -1):
         with pytest.raises(ValueError, match="multiplicity"):
             RunConfig(multiplicity=multiplicity).electron_counts(4)
+    # one spatial orbital per hydrogen: at most 4 alpha electrons in H4
+    assert RunConfig(charge=-4, multiplicity=1).electron_counts(4) == (4, 4)
+    assert RunConfig(charge=-1, multiplicity=4).electron_counts(4) == (4, 1)
+    for charge, multiplicity in ((-3, 4), (-2, 5), (-1, 6), (-4, 3)):
+        with pytest.raises(ValueError, match="infeasible for 4 hydrogens"):
+            RunConfig(charge=charge, multiplicity=multiplicity).electron_counts(4)
 
 
 def test_regime_presets():
@@ -370,6 +376,8 @@ def test_cli_error_exit_code(capsys):
         (["run", "--regime", "C", "--K", "0"], "prep"),
         (["check-conditions", "--multiplicity", "0"], "pipeline"),
         (["check-conditions", "--multiplicity", "-1"], "pipeline"),
+        (["check-conditions", "--geometry", "well", "--charge", "-3", "--multiplicity", "4"],
+         "pipeline"),
     ],
 )
 def test_cli_error_names_stage(argv, stage, capsys):

@@ -207,12 +207,15 @@ def test_assign_by_overlap_matches_per_pattern_picks_on_ties(n_docc, n_socc):
         assert np.array_equal(got[i], np.hstack(blocks))
 
 
-def test_precondition_errors():
+def test_precondition_errors(h2_system):
     integrals = compute_integrals(parse_geometry("H 0 0 0"))
     with pytest.raises(ValueError):
         run_scf(integrals, 0, 1)
     with pytest.raises(ValueError):
         run_scf(integrals, 2, 1)  # 3 electrons in 2 spin orbitals
+    _, h2_integrals, _ = h2_system
+    with pytest.raises(ValueError, match="exceed 2 spatial orbitals"):
+        run_scf(h2_integrals, 3, 0)  # 3 electrons fit 4 spin orbitals, not 2 alpha ones
 
 
 def test_transform_identity_on_orthonormal_fixture():

@@ -194,7 +194,7 @@ def test_tv_scaling_with_shots(well):
 
 
 def test_mix_noise():
-    point = Distribution(probs={7: 1.0}, label="pGD")
+    point = Distribution(probs={7: 1.0})
     assert mix_noise(point, 0.0, 8) is point
     uniform = mix_noise(point, 1.0, 8)
     assert uniform.probability(3) == pytest.approx(1 / 256)
