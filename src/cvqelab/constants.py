@@ -32,5 +32,3 @@ STO6G_H_COEFFS = (
     0.4164915298,
     0.1303340841,
 )
-
-NUCLEAR_CHARGE = {"H": 1.0}

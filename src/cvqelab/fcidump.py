@@ -61,20 +61,32 @@ def read_fcidump(text: str) -> tuple[MOIntegrals, FCIDumpMetadata]:
         raise FCIDumpFormatError("missing &FCI ... &END namelist header")
     header = header_match.group(1)
 
-    def field(name: str, default=None):
+    def field(name: str, default=None, scalar: bool = True):
+        """Namelist field `name` as one integer, or as a tuple of integers when
+        not scalar; `default` when the field is absent or lists none."""
         m = re.search(rf"{name}\s*=\s*([0-9,\s-]+?)(?=[A-Za-z&/]|$)", header, re.IGNORECASE)
-        if not m:
+        raw = m.group(1).strip() if m else ""
+        try:
+            values = tuple(int(v) for v in raw.split(",") if v.strip())
+        except ValueError:
+            raise FCIDumpFormatError(
+                f"namelist field {name} = {raw!r} is not a list of integers"
+            ) from None
+        if not values:
             if default is None:
                 raise FCIDumpFormatError(f"namelist field {name} missing")
             return default
-        return m.group(1)
+        if not scalar:
+            return values
+        if len(values) > 1:
+            raise FCIDumpFormatError(f"namelist field {name} = {raw!r} is not one integer")
+        return values[0]
 
-    n_orb = int(field("NORB").strip().rstrip(","))
-    n_elec = int(field("NELEC").strip().rstrip(","))
-    ms2 = int(str(field("MS2", "0")).strip().rstrip(",") or 0)
-    orbsym_raw = str(field("ORBSYM", "")).strip().rstrip(",")
-    orbsym = tuple(int(v) for v in orbsym_raw.split(",") if v.strip()) if orbsym_raw else tuple([1] * n_orb)
-    int(str(field("ISYM", "1")).strip().rstrip(",") or 1)  # must parse; unused
+    n_orb = field("NORB")
+    n_elec = field("NELEC")
+    ms2 = field("MS2", 0)
+    orbsym = field("ORBSYM", (1,) * n_orb, scalar=False)
+    field("ISYM", 1)  # must parse; unused
 
     if n_orb < 1:
         raise FCIDumpFormatError(f"NORB = {n_orb} invalid")

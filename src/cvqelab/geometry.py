@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
-from .constants import BOHR_PER_ANGSTROM, NUCLEAR_CHARGE
+from .constants import BOHR_PER_ANGSTROM
 
 
 class GeometryError(ValueError):
@@ -30,47 +30,34 @@ class UnsupportedElementError(GeometryError):
 MIN_SEPARATION_ANGSTROM = 1e-6
 
 
-@dataclass(frozen=True)
-class Atom:
-    element: str
-    charge: float
-    position: np.ndarray  # Angstrom, shape (3,)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Geometry:
-    """An ordered collection of atoms with positions in Angstrom."""
+    """Hydrogen nuclei in Angstrom.  Every atom is a unit-charge proton
+    carrying one STO-6G 1s function, so positions are all an atom has."""
 
-    atoms: tuple[Atom, ...]
+    positions: np.ndarray  # (n_atoms, 3), Angstrom
     comment: str = ""
-    label: str = field(default="", compare=False)
+    label: str = ""
 
     def __post_init__(self):
-        for atom in self.atoms:
-            if atom.element != "H":
-                raise UnsupportedElementError(atom.element)
-            if not np.all(np.isfinite(atom.position)):
-                raise GeometryError(f"non-finite coordinates for atom {atom}")
-        pos = self.positions_angstrom()
-        for a in range(len(self.atoms)):
-            for b in range(a + 1, len(self.atoms)):
-                if np.linalg.norm(pos[a] - pos[b]) < MIN_SEPARATION_ANGSTROM:
-                    raise GeometryError(
-                        f"atoms {a} and {b} closer than {MIN_SEPARATION_ANGSTROM} Angstrom"
-                    )
+        pos = self.positions
+        finite = np.isfinite(pos).all(axis=1)
+        if not finite.all():
+            raise GeometryError(f"non-finite coordinates for atom {np.argmin(finite)}")
+        a, b = np.triu_indices(len(pos), 1)
+        close = np.linalg.norm(pos[a] - pos[b], axis=-1) < MIN_SEPARATION_ANGSTROM
+        if close.any():
+            i = np.argmax(close)
+            raise GeometryError(
+                f"atoms {a[i]} and {b[i]} closer than {MIN_SEPARATION_ANGSTROM} Angstrom"
+            )
 
     @property
     def n_atoms(self) -> int:
-        return len(self.atoms)
-
-    def positions_angstrom(self) -> np.ndarray:
-        return np.array([a.position for a in self.atoms], dtype=float)
+        return len(self.positions)
 
     def positions_bohr(self) -> np.ndarray:
-        return self.positions_angstrom() * BOHR_PER_ANGSTROM
-
-    def charges(self) -> np.ndarray:
-        return np.array([a.charge for a in self.atoms], dtype=float)
+        return self.positions * BOHR_PER_ANGSTROM
 
 
 def parse_geometry(text: str, label: str = "") -> Geometry:
@@ -102,28 +89,26 @@ def parse_geometry(text: str, label: str = "") -> Geometry:
                     f"declared {declared} atoms but found {len(body)}",
                 )
 
-    atoms = []
+    rows = []
     for line_number, line in body:
         fields = line.split()
         if len(fields) != 4:
             raise GeometryParseError(line_number, line, "expected 'element x y z'")
-        element = fields[0].capitalize()
-        if element not in NUCLEAR_CHARGE:
+        if fields[0].capitalize() != "H":
             raise UnsupportedElementError(fields[0])
         try:
-            xyz = np.array([float(v) for v in fields[1:]], dtype=float)
+            rows.append([float(v) for v in fields[1:]])
         except ValueError:
             raise GeometryParseError(line_number, line, "non-numeric coordinate") from None
-        atoms.append(Atom(element, NUCLEAR_CHARGE[element], xyz))
 
-    if not atoms:
+    if not rows:
         raise GeometryError("no atoms found")
-    return Geometry(tuple(atoms), comment=comment, label=label)
+    return Geometry(np.array(rows), comment=comment, label=label)
 
 
 def _looks_like_atom_line(line: str) -> bool:
     fields = line.split()
-    if len(fields) != 4 or fields[0].capitalize() not in NUCLEAR_CHARGE:
+    if len(fields) != 4 or fields[0].capitalize() != "H":
         return False
     try:
         [float(v) for v in fields[1:]]
@@ -150,14 +135,10 @@ def load_geometry(source: str | Path) -> Geometry:
 
 
 def nuclear_repulsion(geometry: Geometry) -> float:
-    """Nuclear repulsion energy in Hartree: sum over pairs Z_a Z_b / r_ab (r in Bohr)."""
+    """Nuclear repulsion energy in Hartree: sum over pairs of 1 / r_ab (unit charges, r in Bohr)."""
     pos = geometry.positions_bohr()
-    z = geometry.charges()
     energy = 0.0
     for a in range(geometry.n_atoms):
         for b in range(a + 1, geometry.n_atoms):
-            r = np.linalg.norm(pos[a] - pos[b])
-            if r < MIN_SEPARATION_ANGSTROM * BOHR_PER_ANGSTROM:
-                raise GeometryError(f"coincident nuclei {a}, {b}")
-            energy += z[a] * z[b] / r
+            energy += 1.0 / np.linalg.norm(pos[a] - pos[b])
     return energy

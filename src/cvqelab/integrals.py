@@ -49,8 +49,8 @@ def boys0(t: np.ndarray | float) -> np.ndarray:
     return np.where(small, 1.0 - t / 3.0, val)
 
 
-def _contracted_basis(geometry: Geometry) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-AO arrays: exponents (n_ao, 6), normalized coefficients (n_ao, 6), centers (n_ao, 3)."""
+def _contracted_basis() -> tuple[np.ndarray, np.ndarray]:
+    """The STO-6G 1s every atom carries: exponents (6,), normalized coefficients (6,)."""
     alpha = np.array(STO6G_H_EXPONENTS)
     d = np.array(STO6G_H_COEFFS)
     # unit-normalize primitives, then renormalize the contraction to <chi|chi> = 1
@@ -58,53 +58,50 @@ def _contracted_basis(geometry: Geometry) -> tuple[np.ndarray, np.ndarray, np.nd
     ab = alpha[:, None] + alpha[None, :]
     s_prim = (np.pi / ab) ** 1.5
     norm = np.einsum("i,j,ij->", c, c, s_prim)
-    c = c / np.sqrt(norm)
-
-    n = geometry.n_atoms
-    centers = geometry.positions_bohr()
-    return (
-        np.tile(alpha, (n, 1)),
-        np.tile(c, (n, 1)),
-        centers,
-    )
+    return alpha, c / np.sqrt(norm)
 
 
 def compute_integrals(geometry: Geometry) -> IntegralSet:
     """All STO-6G integral blocks for a hydrogen-cluster geometry (deterministic)."""
-    alpha, coef, centers = _contracted_basis(geometry)
+    alpha, coef = _contracted_basis()
+    centers = geometry.positions_bohr()
     n_ao = geometry.n_atoms
-    charges = geometry.charges()
+
+    # every AO is the same contraction, so these primitive-pair arrays are
+    # shared by all AO pairs; only the centres differ
+    a = alpha[:, None]
+    b = alpha[None, :]
+    cc = coef[:, None] * coef[None, :]
+    ab = a + b
+    mu = a * b / ab
+    s_norm = (np.pi / ab) ** 1.5
+    v_norm = 2.0 * np.pi / ab
 
     overlap = np.empty((n_ao, n_ao))
     kinetic = np.empty((n_ao, n_ao))
     nuclear = np.empty((n_ao, n_ao))
     # per AO pair, in pair_index order: contraction weights with the Gaussian
-    # prefactor, exponent sums and product centres, one entry per primitive pair
+    # prefactor and product centres, one entry per primitive pair
     pair_data = []
 
     for p in range(n_ao):
         for q in range(p + 1):
-            a = alpha[p][:, None]
-            b = alpha[q][None, :]
-            cc = coef[p][:, None] * coef[q][None, :]
-            ab = a + b
-            mu = a * b / ab
             r2 = float(np.dot(centers[p] - centers[q], centers[p] - centers[q]))
             pref = np.exp(-mu * r2)
-            s_prim = (np.pi / ab) ** 1.5 * pref
+            s_prim = s_norm * pref
             t_prim = mu * (3.0 - 2.0 * mu * r2) * s_prim
 
             # Gaussian product center, one per primitive pair
             pc = (a[..., None] * centers[p] + b[..., None] * centers[q]) / ab[..., None]
             v_prim = np.zeros_like(s_prim)
-            for k, nuc in enumerate(centers):
+            for nuc in centers:
                 t_arg = ab * np.sum((pc - nuc) ** 2, axis=-1)
-                v_prim -= charges[k] * (2.0 * np.pi / ab) * pref * boys0(t_arg)
+                v_prim -= v_norm * pref * boys0(t_arg)
 
             overlap[p, q] = overlap[q, p] = float(np.sum(cc * s_prim))
             kinetic[p, q] = kinetic[q, p] = float(np.sum(cc * t_prim))
             nuclear[p, q] = nuclear[q, p] = float(np.sum(cc * v_prim))
-            pair_data.append(((cc * pref).ravel(), ab.ravel(), pc.reshape(-1, 3)))
+            pair_data.append(((cc * pref).ravel(), pc.reshape(-1, 3)))
 
     eig_min = float(np.linalg.eigvalsh(overlap)[0])
     if eig_min < OVERLAP_CONDITION_FLOOR:
@@ -112,13 +109,13 @@ def compute_integrals(geometry: Geometry) -> IntegralSet:
             f"overlap matrix min eigenvalue {eig_min:.3e} below {OVERLAP_CONDITION_FLOOR}"
         )
 
-    eri = _electron_repulsion(pair_data, n_ao)
+    eri = _electron_repulsion(pair_data, ab.ravel(), n_ao)
     return IntegralSet(
         n_ao=n_ao,
         overlap=overlap,
         core=kinetic + nuclear,
         eri=eri,
-        e_nuc=nuclear_repulsion(geometry) if n_ao > 1 else 0.0,
+        e_nuc=nuclear_repulsion(geometry),
     )
 
 
@@ -139,18 +136,16 @@ def from_pair_matrix(m: np.ndarray, n: int) -> np.ndarray:
     return m[index[:, :, None, None], index[None, None, :, :]]
 
 
-def _electron_repulsion(pair_data: list, n_ao: int) -> np.ndarray:
-    """Full (pq|rs) tensor via the s-Gaussian closed form, one value per pair of AO pairs."""
+def _electron_repulsion(pair_data: list, zeta: np.ndarray, n_ao: int) -> np.ndarray:
+    """Full (pq|rs) tensor via the s-Gaussian closed form, one value per pair of
+    AO pairs; zeta holds the primitive-pair exponent sums every AO pair shares."""
+    zsum = zeta[:, None] + zeta[None, :]
+    rho = zeta[:, None] * zeta[None, :] / zsum
+    kern_norm = 2.0 * np.pi ** 2.5 / (zeta[:, None] * zeta[None, :] * np.sqrt(zsum))
     m = np.zeros((len(pair_data), len(pair_data)))
-    for i, (cp, zp, rp) in enumerate(pair_data):
-        for j, (cq, zq, rq) in enumerate(pair_data[: i + 1]):
-            zsum = zp[:, None] + zq[None, :]
-            rho = zp[:, None] * zq[None, :] / zsum
+    for i, (cp, rp) in enumerate(pair_data):
+        for j, (cq, rq) in enumerate(pair_data[: i + 1]):
             d2 = np.sum((rp[:, None, :] - rq[None, :, :]) ** 2, axis=-1)
-            kern = (
-                2.0 * np.pi ** 2.5
-                / (zp[:, None] * zq[None, :] * np.sqrt(zsum))
-                * boys0(rho * d2)
-            )
+            kern = kern_norm * boys0(rho * d2)
             m[i, j] = m[j, i] = float(np.einsum("i,j,ij->", cp, cq, kern))
     return from_pair_matrix(m, n_ao)

@@ -209,16 +209,13 @@ def prepare_run(config: RunConfig, system: SystemModel | None = None) -> Prepare
     psi_guid = prepare_guiding(h0, h, schedule, sys_model.phi0, trotter)
     p_td = probabilities(psi_trap)
     p_gd = probabilities(psi_guid)
-    sampled_from = p_gd
-    if config.noise_lambda > 0.0:
-        sampled_from = mix_noise(p_gd, config.noise_lambda, h.n_qubits)
 
     return PreparedRun(
         system=sys_model,
         config=config,
         p_td=p_td,
         p_gd=p_gd,
-        sampled_from=sampled_from,
+        sampled_from=mix_noise(p_gd, config.noise_lambda, h.n_qubits),
         e_trapezoidal=expectation(psi_trap, h),
         e_guiding=expectation(psi_guid, h),
         stats=circuit_stats(h0, h, schedule, trotter),

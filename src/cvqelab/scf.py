@@ -166,7 +166,6 @@ def _converge_patterns(
     delta = np.full(len(patterns), np.inf)
     focks = np.empty((len(patterns), 0, n_ao, n_ao))
     errors = np.empty_like(focks)
-    overlaps = np.empty((len(patterns), 0, 0))  # DIIS B block per pattern
     for iteration in range(1, MAX_ITERATIONS + 1):
         c_occ_a = c[:, :, :n_alpha]
         docc_c = c[:, :, :n_docc]
@@ -192,8 +191,7 @@ def _converge_patterns(
             if done.any():
                 for i in np.flatnonzero(done):
                     outcomes[active[i]] = _finalize(
-                        integrals, f_a[i], f_b[i], c[i],
-                        float(energy[i]), n_alpha, n_beta, iteration,
+                        f_eff[i], c[i], float(energy[i]), n_alpha, n_beta, iteration
                     )
                 keep = ~done
                 if not keep.any():
@@ -201,21 +199,13 @@ def _converge_patterns(
                 active, c, energy, delta, f_eff, error = (
                     a[keep] for a in (active, c, energy, delta, f_eff, error)
                 )
-                focks, errors, overlaps = focks[keep], errors[keep], overlaps[keep]
+                focks, errors = focks[keep], errors[keep]
 
-        focks = np.concatenate([focks, f_eff[:, None]], axis=1)
-        errors = np.concatenate([errors, error[:, None]], axis=1)
-        window = focks.shape[1]
-        row = _matrix_sums(errors * error[:, None])
-        grown = np.empty((len(active), window, window))
-        grown[:, :-1, :-1] = overlaps
-        grown[:, -1] = grown[:, :, -1] = row
-        overlaps = grown
-        if window > DIIS_SIZE:
-            focks, errors, overlaps = focks[:, 1:], errors[:, 1:], overlaps[:, 1:, 1:]
+        focks = np.concatenate([focks, f_eff[:, None]], axis=1)[:, -DIIS_SIZE:]
+        errors = np.concatenate([errors, error[:, None]], axis=1)[:, -DIIS_SIZE:]
         f_use = f_eff
         if focks.shape[1] > 1:
-            f_use = _diis_extrapolate(focks, overlaps)
+            f_use = _diis_extrapolate(focks, errors)
 
         eps_new, c_new = _generalized_eigh(f_use, s)
         c = _assign_by_overlap(c_new, eps_new, s, c, n_docc, n_socc)
@@ -308,13 +298,13 @@ def _roothaan_fock(
     return sc @ f_mo @ np.swapaxes(sc, -1, -2)
 
 
-def _diis_extrapolate(focks: np.ndarray, overlaps: np.ndarray) -> np.ndarray:
-    """Pulay DIIS on stacked (P, W, n, n) Fock histories; a pattern whose B
-    matrix is singular keeps its latest Fock matrix."""
-    n_pat, n = overlaps.shape[:2]
+def _diis_extrapolate(focks: np.ndarray, errors: np.ndarray) -> np.ndarray:
+    """Pulay DIIS on stacked (P, W, n, n) Fock and error histories; a pattern
+    whose B matrix is singular keeps its latest Fock matrix."""
+    n_pat, n = focks.shape[:2]
     b = -np.ones((n_pat, n + 1, n + 1))
     b[:, n, n] = 0.0
-    b[:, :n, :n] = overlaps
+    b[:, :n, :n] = _matrix_sums(errors[:, :, None] * errors[:, None])
     rhs = np.zeros((n_pat, n + 1, 1))
     rhs[:, n] = -1.0
     singular = np.zeros(n_pat, dtype=bool)
@@ -337,19 +327,16 @@ def _diis_extrapolate(focks: np.ndarray, overlaps: np.ndarray) -> np.ndarray:
 
 
 def _finalize(
-    integrals: IntegralSet,
-    f_a: np.ndarray,
-    f_b: np.ndarray,
+    f_eff: np.ndarray,
     c_all: np.ndarray,
     energy: float,
     n_alpha: int,
     n_beta: int,
     iterations: int,
 ) -> SCFResult:
-    """Canonicalize within occupation blocks and fix deterministic column signs."""
-    s = integrals.overlap
+    """Canonicalize within occupation blocks of Roothaan's f_eff and fix
+    deterministic column signs."""
     n_docc, n_socc = n_beta, n_alpha - n_beta
-    f_eff = _roothaan_fock(f_a, f_b, c_all, s, n_docc, n_socc)
 
     blocks = []
     eps_blocks = []

@@ -22,7 +22,7 @@ import numpy as np
 
 from .fermion import SecondQuantizedHamiltonian
 from .pauli import _popcount
-from .statevector import SampleCounts, StateVector, init_fock
+from .statevector import SampleCounts, StateVector
 
 if TYPE_CHECKING:
     from .fci import SectorBasis
@@ -165,8 +165,6 @@ def embed_optimized(theta: np.ndarray, outcomes: OutcomeSet, n_qubits: int) -> S
     theta = np.asarray(theta, dtype=complex)
     if abs(np.linalg.norm(theta) - 1.0) > 1e-9:
         raise ValueError("theta must be unit norm")
-    state = init_fock(0, n_qubits)
-    state.amplitudes[0] = 0.0
-    for val, n in zip(theta, outcomes.members):
-        state.amplitudes[n] = val
-    return state
+    amplitudes = np.zeros(1 << n_qubits, dtype=complex)
+    amplitudes[list(outcomes.members)] = theta
+    return StateVector(amplitudes, n_qubits)

@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg
 
 from cvqelab import scf as scf_module
+from cvqelab.constants import STO6G_H_COEFFS, STO6G_H_EXPONENTS
 from cvqelab.fci import SectorBasis, enumerate_sector, solve_fci
 from cvqelab.fermion import (
     SecondQuantizedHamiltonian,
@@ -12,7 +13,7 @@ from cvqelab.fermion import (
     second_quantize,
 )
 from cvqelab.geometry import load_geometry, parse_geometry
-from cvqelab.integrals import IntegralSet, compute_integrals
+from cvqelab.integrals import IntegralSet, boys0, compute_integrals, from_pair_matrix
 from cvqelab.pauli import _I_POWERS, COEFF_FLOOR, PauliSum, _popcount
 from cvqelab.scf import ConvergenceError, SCFResult, model_hamiltonian, run_scf, transform_to_mo
 from cvqelab.statevector import (
@@ -537,6 +538,68 @@ def reference_jordan_wigner(sq: SecondQuantizedHamiltonian) -> PauliSum:
             raise ValueError(f"non-Hermitian JW coefficient {c} for {s}")
         terms[s] = c.real
     return from_labels(terms, q)
+
+
+def reference_compute_integrals(geometry) -> IntegralSet:
+    """integrals.compute_integrals built per atom: the STO-6G contraction
+    tiled once per AO with a nuclear charge per atom, and every primitive-pair
+    array recomputed per AO pair and per pair of pairs.  compute_integrals
+    shares these arrays across pairs and must give the same bytes."""
+    alpha = np.array(STO6G_H_EXPONENTS)
+    c = np.array(STO6G_H_COEFFS) * (2.0 * alpha / np.pi) ** 0.75
+    s_prim = (np.pi / (alpha[:, None] + alpha[None, :])) ** 1.5
+    c = c / np.sqrt(np.einsum("i,j,ij->", c, c, s_prim))
+    n_ao = geometry.n_atoms
+    centers = geometry.positions_bohr()
+    alpha, coef, charges = np.tile(alpha, (n_ao, 1)), np.tile(c, (n_ao, 1)), np.ones(n_ao)
+
+    overlap, kinetic, nuclear = (np.empty((n_ao, n_ao)) for _ in range(3))
+    pair_data = []
+    for p in range(n_ao):
+        for q in range(p + 1):
+            a = alpha[p][:, None]
+            b = alpha[q][None, :]
+            cc = coef[p][:, None] * coef[q][None, :]
+            ab = a + b
+            mu = a * b / ab
+            r2 = float(np.dot(centers[p] - centers[q], centers[p] - centers[q]))
+            pref = np.exp(-mu * r2)
+            s_prim = (np.pi / ab) ** 1.5 * pref
+            t_prim = mu * (3.0 - 2.0 * mu * r2) * s_prim
+            pc = (a[..., None] * centers[p] + b[..., None] * centers[q]) / ab[..., None]
+            v_prim = np.zeros_like(s_prim)
+            for k, nuc in enumerate(centers):
+                t_arg = ab * np.sum((pc - nuc) ** 2, axis=-1)
+                v_prim -= charges[k] * (2.0 * np.pi / ab) * pref * boys0(t_arg)
+            overlap[p, q] = overlap[q, p] = float(np.sum(cc * s_prim))
+            kinetic[p, q] = kinetic[q, p] = float(np.sum(cc * t_prim))
+            nuclear[p, q] = nuclear[q, p] = float(np.sum(cc * v_prim))
+            pair_data.append(((cc * pref).ravel(), ab.ravel(), pc.reshape(-1, 3)))
+
+    m = np.zeros((len(pair_data), len(pair_data)))
+    for i, (cp, zp, rp) in enumerate(pair_data):
+        for j, (cq, zq, rq) in enumerate(pair_data[: i + 1]):
+            zsum = zp[:, None] + zq[None, :]
+            rho = zp[:, None] * zq[None, :] / zsum
+            d2 = np.sum((rp[:, None, :] - rq[None, :, :]) ** 2, axis=-1)
+            kern = (
+                2.0 * np.pi ** 2.5
+                / (zp[:, None] * zq[None, :] * np.sqrt(zsum))
+                * boys0(rho * d2)
+            )
+            m[i, j] = m[j, i] = float(np.einsum("i,j,ij->", cp, cq, kern))
+
+    e_nuc = 0.0
+    for a in range(n_ao):
+        for b in range(a + 1, n_ao):
+            e_nuc += charges[a] * charges[b] / np.linalg.norm(centers[a] - centers[b])
+    return IntegralSet(
+        n_ao=n_ao,
+        overlap=overlap,
+        core=kinetic + nuclear,
+        eri=from_pair_matrix(m, n_ao),
+        e_nuc=e_nuc,
+    )
 
 
 def reference_run_scf(integrals, n_alpha: int, n_beta: int) -> SCFResult:

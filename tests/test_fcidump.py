@@ -95,6 +95,13 @@ def test_format_errors():
             "1.0 1 2 0 0\n"
             "2.0 2 1 0 0\n"  # conflicting duplicate of the same element
         )
+    for header, name in (
+        ("&FCI NORB=1,NELEC=1,MS2=1,ISYM=1,2,&END\n", "ISYM"),
+        ("&FCI NORB=1,NELEC=1,MS2=1,ISYM=-,&END\n", "ISYM"),
+        ("&FCI NORB=2-1,NELEC=1,MS2=1,&END\n", "NORB"),
+    ):
+        with pytest.raises(FCIDumpFormatError, match=f"namelist field {name} "):
+            read_fcidump(header)
 
 
 def test_ms2_must_fit_nelec(well):

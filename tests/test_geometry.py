@@ -25,8 +25,8 @@ H 0.370880024809 -1.000000000000 0.000000000000
 def test_parse_reactant_table():
     geom = parse_geometry(REACTANT_TABLE)
     assert geom.n_atoms == 4
-    assert geom.atoms[0].position[1] == pytest.approx(8.528398637950, abs=0)
-    lower_pair = np.linalg.norm(geom.atoms[2].position - geom.atoms[3].position)
+    assert geom.positions[0, 1] == pytest.approx(8.528398637950, abs=0)
+    lower_pair = np.linalg.norm(geom.positions[2] - geom.positions[3])
     assert lower_pair == pytest.approx(2 * 0.370880024809, abs=1e-12)
 
 
@@ -39,7 +39,7 @@ def test_parse_single_atom():
 def test_well_first_second_distance():
     # independent Euclidean evaluation of the published coordinates
     geom = load_geometry("well")
-    a, b = geom.atoms[0].position, geom.atoms[1].position
+    a, b = geom.positions[0], geom.positions[1]
     dist = math.sqrt(sum((x - y) ** 2 for x, y in zip(a, b)))
     assert dist == pytest.approx(1.403206, abs=5e-7)
 
@@ -81,7 +81,7 @@ def test_nuclear_repulsion_h2_oracle():
 
 def test_nuclear_repulsion_well_brute_force():
     geom = load_geometry("well")
-    pos = geom.positions_angstrom() / ANGSTROM_PER_BOHR
+    pos = geom.positions / ANGSTROM_PER_BOHR
     brute = sum(
         1.0 / np.linalg.norm(pos[a] - pos[b])
         for a in range(4)

@@ -17,6 +17,8 @@ from cvqelab.integrals import (
     pair_index,
 )
 
+from conftest import H6_CHAIN, h4_geometries, reference_compute_integrals
+
 
 def contracted_1s():
     alpha = np.array(STO6G_H_EXPONENTS)
@@ -182,6 +184,21 @@ def test_pair_matrix_expansion_eightfold_and_round_trip():
     assert len(np.unique(g)) == len(pairs) * (len(pairs) + 1) // 2
     back = np.array([[g[p, q, r, s] for r, s in pairs] for p, q in pairs])
     assert back.tobytes() == m.tobytes()
+
+
+def test_integrals_bit_identical_to_per_atom_reference():
+    """One contraction shared by every atom and AO pair changes no bit of the
+    per-atom build: built-ins, random H4+ clusters, the H6+ chain, H2 and H."""
+    geometries = {"well": load_geometry("well"), **h4_geometries()}
+    for label, text in (
+        ("h6_chain", H6_CHAIN), ("h2", "H 0 0 0\nH 0 0 0.741760049618"), ("h", "H 0 0 0"),
+    ):
+        geometries[label] = parse_geometry(text)
+    for geometry in geometries.values():
+        got, ref = compute_integrals(geometry), reference_compute_integrals(geometry)
+        for block in ("overlap", "core", "eri"):
+            assert getattr(got, block).tobytes() == getattr(ref, block).tobytes()
+        assert got.e_nuc == ref.e_nuc
 
 
 def test_overlap_positive_definite_on_builtin_geometries():
