@@ -374,11 +374,11 @@ def test_cli_error_exit_code(capsys):
         (["run", "--geometry", "missing.xyz", "--K", "1"], "geometry"),
         (["run", "--regime", "C", "--shots", "100", "--count-threshold", "1000"], "subspace"),
         (["run", "--regime", "C", "--K", "0"], "prep"),
-        (["run", "--regime", "C", "--shots", "4096", "--noise-lambda", "-0.5"], "statevector"),
         (["check-conditions", "--multiplicity", "0"], "pipeline"),
         (["check-conditions", "--multiplicity", "-1"], "pipeline"),
         (["check-conditions", "--geometry", "well", "--charge", "-3", "--multiplicity", "4"],
          "pipeline"),
+        (["run", "--regime", "C", "--shots", "4096", "--noise-lambda", "-0.5"], "statevector"),
     ],
 )
 def test_cli_error_names_stage(argv, stage, capsys):
