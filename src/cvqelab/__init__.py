@@ -12,8 +12,8 @@ from .fci import SectorBasis, enumerate_sector, solve_fci
 from .fcidump import read_fcidump, write_fcidump
 from .fermion import (
     SecondQuantizedHamiltonian,
-    hf_fock_index,
     jordan_wigner,
+    model_gap,
     model_pauli,
     second_quantize,
 )
@@ -42,15 +42,7 @@ from .prep import (
     prepare_guiding,
     prepare_trapezoidal,
 )
-from .scf import (
-    MOIntegrals,
-    ModelHamiltonian,
-    SCFResult,
-    load_hf_energy_table,
-    model_hamiltonian,
-    run_scf,
-    transform_to_mo,
-)
+from .scf import MOIntegrals, SCFResult, load_hf_energy_table, run_scf, transform_to_mo
 from .statevector import (
     Distribution,
     SampleCounts,

@@ -23,6 +23,7 @@ from .pipeline import (
     REGIME_PRESETS,
     RunConfig,
     build_mean_field,
+    build_system,
     emit_report,
     omega_scan,
     run_multi_seed,
@@ -30,7 +31,7 @@ from .pipeline import (
     sweep_reaction_path,
 )
 from .prep import check_conditions
-from .scf import load_hf_energy_table, model_hamiltonian
+from .scf import load_hf_energy_table
 
 DEFAULT_OMEGAS = (1.0, 1 / 3, 1 / 5, 1 / 10)
 
@@ -72,7 +73,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(json.dumps(summary, indent=2))
         return 0
     report = run_pipeline(config)
-    files = emit_report(report, config.output_dir or None)
+    files = emit_report(report)
     print(f"E_HF        = {report.e_hf:.9f} Ha")
     print(f"E_g (FCI)   = {report.e_g:.9f} Ha = {report.e_g * EV_PER_HARTREE:.4f} eV")
     print(f"trapezoidal = {report.e_trapezoidal:.9f} Ha (err {report.errors_ev['trapezoidal']:.3e} eV)")
@@ -111,11 +112,7 @@ def _cmd_scan_omega(args: argparse.Namespace) -> int:
 
 def _cmd_check_conditions(args: argparse.Namespace) -> int:
     config = _build_config(args)
-    if args.omega0 is not None:
-        omega0 = args.omega0
-    else:
-        _, scf, _ = build_mean_field(config)
-        omega0 = model_hamiltonian(scf).omega0
+    omega0 = args.omega0 if args.omega0 is not None else build_system(config).omega0
     report = check_conditions(config.K, config.hbar_omega, omega0)
     print(f"hbar_omega0 = {omega0:.6f} Ha")
     print(f"left  ratio (hbar_omega/K)/omega0 = {report.left_ratio:.6g} "

@@ -1,4 +1,5 @@
-"""Second quantization and the Jordan-Wigner fermion-to-qubit mapping.
+"""Second quantization, the Jordan-Wigner fermion-to-qubit mapping and the
+diagonal HF model H0 with its sector gap omega0.
 
 Spin-orbital indexing is interleaved: spin orbital q = 2*(i-1) + s for
 spatial MO i (1-based) and spin s (0 = up, 1 = down).  Qubit q is the
@@ -8,12 +9,13 @@ for (n_alpha, n_beta) = (2, 1) occupies qubits {0, 1, 2} = index 7.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .pauli import PauliSum, mask_phases, symplectic_product
-from .scf import ModelHamiltonian, MOIntegrals
+from .scf import MOIntegrals, SCFResult
 
 # one- and two-body entries below this magnitude are skipped, Hartree
 _ENTRY_FLOOR = 1e-15
@@ -37,14 +39,8 @@ class SecondQuantizedHamiltonian:
     n_spin_orbitals: int
 
 
-def hf_fock_index(n_alpha: int, n_beta: int) -> int:
-    """Fock index of the aufbau HF determinant in the interleaved layout."""
-    index = 0
-    for i in range(n_alpha):
-        index |= 1 << (2 * i)
-    for i in range(n_beta):
-        index |= 1 << (2 * i + 1)
-    return index
+class DegenerateGapWarning(UserWarning):
+    """Frontier orbitals are degenerate; the model gap is ill-defined."""
 
 
 def second_quantize(mo: MOIntegrals) -> SecondQuantizedHamiltonian:
@@ -128,10 +124,36 @@ def jordan_wigner(sq: SecondQuantizedHamiltonian) -> PauliSum:
     return PauliSum.from_masks(x, z, coeffs.real, q)
 
 
-def model_pauli(model: ModelHamiltonian) -> PauliSum:
-    """Diagonal model operator sum_p eps_p n_p + shift as a PauliSum."""
-    q = len(model.eps_spin)
+def model_pauli(scf: SCFResult) -> PauliSum:
+    """Diagonal HF model H0 = sum_q eps_q n_q + shift as a PauliSum.
+
+    eps_q is the orbital energy of spin orbital q's spatial MO; the shift
+    gives the aufbau HF determinant the energy e_hf.
+    """
+    eps = scf.orbital_energies
+    eps_spin = np.repeat(eps, 2)
+    occupied_sum = float(np.sum(eps[: scf.n_alpha]) + np.sum(eps[: scf.n_beta]))
+    shift = scf.e_hf - occupied_sum
+    q = len(eps_spin)
     z = np.concatenate([[0], np.int64(1) << np.arange(q)])
-    identity = model.shift + 0.5 * float(np.sum(model.eps_spin))
-    coeffs = np.concatenate([[identity], -0.5 * model.eps_spin])
+    identity = shift + 0.5 * float(np.sum(eps_spin))
+    coeffs = np.concatenate([[identity], -0.5 * eps_spin])
     return PauliSum.from_masks(np.zeros_like(z), z, coeffs, q)
+
+
+def model_gap(scf: SCFResult, determinants: tuple[int, ...]) -> float:
+    """omega0: the gap of H0 between its two lowest levels over the given
+    determinants (Fock indices), the reference (N_alpha, N_beta) sector."""
+    eps_spin = np.repeat(scf.orbital_energies, 2)
+    occupied = (np.asarray(determinants)[:, None] >> np.arange(len(eps_spin))) & 1
+    levels = np.sort(occupied @ eps_spin)
+    if len(levels) < 2:
+        raise ValueError("sector holds a single determinant; no excitation exists")
+    gap = float(levels[1] - levels[0])
+    if gap < 1e-8:
+        warnings.warn(
+            f"model gap {gap:.3e} Ha: frontier orbitals are degenerate",
+            DegenerateGapWarning,
+            stacklevel=2,
+        )
+    return gap

@@ -186,8 +186,8 @@ def interpolate(h0: PauliSum, h: PauliSum, eta: float) -> PauliSum:
 def prune(h: PauliSum, threshold: float, drop_diagonal: bool = False) -> PauliSum:
     """Remove weak interactions: terms with |coefficient| < threshold, and
     optionally every {I, Z}-only string (pure phases when executed first)."""
-    if threshold < 0:
-        raise ValueError("threshold must be nonnegative")
+    if not (threshold >= 0 and np.isfinite(threshold)):
+        raise ValueError(f"threshold {threshold} must be nonnegative and finite")
     keep = np.abs(h.coeffs) >= threshold
     if drop_diagonal:
         keep &= h.x != 0

@@ -18,8 +18,8 @@ from .constants import EV_PER_HARTREE
 from .fci import SectorBasis, enumerate_sector, solve_fci
 from .fermion import (
     SecondQuantizedHamiltonian,
-    hf_fock_index,
     jordan_wigner,
+    model_gap,
     model_pauli,
     second_quantize,
 )
@@ -36,14 +36,7 @@ from .prep import (
     prepare_guiding,
     prepare_trapezoidal,
 )
-from .scf import (
-    MOIntegrals,
-    SCFResult,
-    lookup_external_hf,
-    model_hamiltonian,
-    run_scf,
-    transform_to_mo,
-)
+from .scf import MOIntegrals, SCFResult, lookup_external_hf, run_scf, transform_to_mo
 from .statevector import (
     Distribution,
     expectation,
@@ -163,20 +156,19 @@ def build_mean_field(
 
 def build_system(config: RunConfig, geometry: Geometry | None = None) -> SystemModel:
     geom, scf, mo = build_mean_field(config, geometry)
-    n_alpha, n_beta = scf.n_alpha, scf.n_beta
     sq = second_quantize(mo)
     h = jordan_wigner(sq)
-    model = model_hamiltonian(scf)
-    sector = enumerate_sector(sq.n_spin_orbitals, n_alpha, n_beta)
+    sector = enumerate_sector(sq.n_spin_orbitals, scf.n_alpha, scf.n_beta)
     fci = solve_fci(sector, sq)
     return SystemModel(
         geometry=geom,
         scf=scf,
         sq=sq,
         h_pauli=h,
-        h0_pauli=model_pauli(model),
-        omega0=model.omega0,
-        phi0=hf_fock_index(n_alpha, n_beta),
+        h0_pauli=model_pauli(scf),
+        omega0=model_gap(scf, sector.determinants),
+        # the lowest up and down spin orbitals: the aufbau HF determinant
+        phi0=sector.determinants[0],
         sector=sector,
         fci_energy=fci.energy,
         ground=probabilities(embed_optimized(fci.theta, fci.basis, h.n_qubits)),

@@ -79,8 +79,8 @@ def build_schedule(K: int, hbar_omega: float) -> PrepSchedule:
     """K-step schedule: K-1 full steps at eta = k/K plus the final half-step."""
     if K < 1:
         raise ValueError("K must be >= 1")
-    if hbar_omega <= 0:
-        raise ValueError("hbar_omega must be positive")
+    if not (hbar_omega > 0 and np.isfinite(hbar_omega)):
+        raise ValueError(f"hbar_omega {hbar_omega} must be positive and finite")
     steps = [(k / K, 1.0 / hbar_omega) for k in range(1, K)]
     steps.append((1.0, 0.5 / hbar_omega))
     return PrepSchedule(steps=tuple(steps))
@@ -147,8 +147,8 @@ def _staircase(
     including interpolate's COEFF_FLOOR drop of each scaled operand before
     the sum.
     """
-    if trotter.prune_threshold < 0:
-        raise ValueError("threshold must be nonnegative")
+    if not (trotter.prune_threshold >= 0 and np.isfinite(trotter.prune_threshold)):
+        raise ValueError(f"threshold {trotter.prune_threshold} must be nonnegative and finite")
     x, z, (c0, c1) = align(h0, h)
     etas = np.array([eta for eta, _scale in schedule.steps], dtype=float)
     coeffs = interpolation_rows(c0, c1, etas)
@@ -249,8 +249,8 @@ def _flip_span_coset(phi0: int, flips: np.ndarray) -> np.ndarray:
 
 def check_conditions(K: int, hbar_omega: float, omega0: float) -> ConditionReport:
     """Numeric report on the two discretized adiabatic ratios (never blocks)."""
-    if K < 1 or hbar_omega <= 0 or omega0 <= 0:
-        raise ValueError("K, hbar_omega and omega0 must be positive")
+    if K < 1 or not all(w > 0 and np.isfinite(w) for w in (hbar_omega, omega0)):
+        raise ValueError("K must be >= 1, hbar_omega and omega0 positive and finite")
     left = (hbar_omega / K) / omega0
     right = omega0 / hbar_omega
     return ConditionReport(

@@ -1,4 +1,4 @@
-"""Restricted open-shell Hartree-Fock, MO transforms, and the diagonal model Hamiltonian.
+"""Restricted open-shell Hartree-Fock and the AO -> MO integral transform.
 
 A single spatial-MO set serves both spins, so every spatial orbital maps to a
 degenerate pair of spin orbitals downstream.  The effective one-electron
@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -55,10 +54,6 @@ class MissingCorrectionError(LookupError):
     """A requested external large-basis HF energy is unavailable."""
 
 
-class DegenerateGapWarning(UserWarning):
-    """Frontier orbitals are degenerate; the model gap is ill-defined."""
-
-
 ENERGY_TOL = 1e-10       # Hartree
 COMMUTATOR_TOL = 1e-8
 MAX_ITERATIONS = 200
@@ -82,15 +77,6 @@ class MOIntegrals:
     g_mo: np.ndarray   # (n_mo,)*4 chemists' (pq|rs), Hartree
     e_nuc: float
     n_mo: int
-
-
-@dataclass(frozen=True)
-class ModelHamiltonian:
-    """Diagonal one-body operator: sum_p eps_p n_p + shift."""
-
-    eps_spin: np.ndarray  # (2*n_mo,), interleaved (up, down) per spatial MO
-    shift: float          # fixes <HF|H0|HF> = e_hf
-    omega0: float         # lowest sector-preserving excitation energy, Hartree
 
 
 def _candidate_patterns(n_mo: int, n_docc: int, n_socc: int, window: int):
@@ -377,40 +363,6 @@ def transform_to_mo(integrals: IntegralSet, scf: SCFResult) -> MOIntegrals:
     g = np.einsum("rk,ijrs->ijks", c, g, optimize=True)
     g_mo = np.einsum("sl,ijks->ijkl", c, g, optimize=True)
     return MOIntegrals(h_mo=h_mo, g_mo=g_mo, e_nuc=integrals.e_nuc, n_mo=c.shape[1])
-
-
-def sector_level_gap(eps_spatial: np.ndarray, n_alpha: int, n_beta: int) -> float:
-    """Gap of the diagonal model between its ground and first excited determinant,
-    enumerated over the full (N, Sz) sector."""
-    n_mo = len(eps_spatial)
-    energies = sorted(
-        sum(eps_spatial[i] for i in occ_a) + sum(eps_spatial[i] for i in occ_b)
-        for occ_a in itertools.combinations(range(n_mo), n_alpha)
-        for occ_b in itertools.combinations(range(n_mo), n_beta)
-    )
-    if len(energies) < 2:
-        raise ValueError("sector holds a single determinant; no excitation exists")
-    return float(energies[1] - energies[0])
-
-
-def model_hamiltonian(scf: SCFResult) -> ModelHamiltonian:
-    """Diagonal HF model: orbital-energy number operator plus an energy shift.
-
-    The shift is fixed so the HF determinant has expectation value e_hf, and
-    omega0 is the model gap in the HF determinant's (N, Sz) sector.
-    """
-    eps = scf.orbital_energies
-    eps_spin = np.repeat(eps, 2)
-    occupied_sum = float(np.sum(eps[: scf.n_alpha]) + np.sum(eps[: scf.n_beta]))
-    shift = scf.e_hf - occupied_sum
-    omega0 = sector_level_gap(eps, scf.n_alpha, scf.n_beta)
-    if omega0 < 1e-8:
-        warnings.warn(
-            f"model gap {omega0:.3e} Ha: frontier orbitals are degenerate",
-            DegenerateGapWarning,
-            stacklevel=2,
-        )
-    return ModelHamiltonian(eps_spin=eps_spin, shift=shift, omega0=omega0)
 
 
 def load_hf_energy_table(path: str | Path) -> dict[str, float]:

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -7,15 +9,15 @@ from cvqelab.constants import STO6G_H_COEFFS, STO6G_H_EXPONENTS
 from cvqelab.fci import SectorBasis, enumerate_sector, solve_fci
 from cvqelab.fermion import (
     SecondQuantizedHamiltonian,
-    hf_fock_index,
     jordan_wigner,
+    model_gap,
     model_pauli,
     second_quantize,
 )
 from cvqelab.geometry import load_geometry, parse_geometry
 from cvqelab.integrals import IntegralSet, boys0, compute_integrals, from_pair_matrix
 from cvqelab.pauli import _I_POWERS, COEFF_FLOOR, PauliSum, _popcount
-from cvqelab.scf import ConvergenceError, SCFResult, model_hamiltonian, run_scf, transform_to_mo
+from cvqelab.scf import ConvergenceError, SCFResult, run_scf, transform_to_mo
 from cvqelab.statevector import (
     SampleCounts,
     StateVector,
@@ -819,6 +821,30 @@ def _reference_finalize(
     )
 
 
+def reference_model_gap(eps_spatial: np.ndarray, n_alpha: int, n_beta: int) -> float:
+    """Gap of the diagonal model between its ground and first excited determinant,
+    enumerated over the full (N, Sz) sector; oracle for fermion.model_gap."""
+    n_mo = len(eps_spatial)
+    energies = sorted(
+        sum(eps_spatial[i] for i in occ_a) + sum(eps_spatial[i] for i in occ_b)
+        for occ_a in itertools.combinations(range(n_mo), n_alpha)
+        for occ_b in itertools.combinations(range(n_mo), n_beta)
+    )
+    if len(energies) < 2:
+        raise ValueError("sector holds a single determinant; no excitation exists")
+    return float(energies[1] - energies[0])
+
+
+def reference_hf_fock_index(n_alpha: int, n_beta: int) -> int:
+    """Fock index of the aufbau HF determinant in the interleaved layout."""
+    index = 0
+    for i in range(n_alpha):
+        index |= 1 << (2 * i)
+    for i in range(n_beta):
+        index |= 1 << (2 * i + 1)
+    return index
+
+
 class WellSystem:
     """Everything downstream tests need for the four-hydrogen well geometry."""
 
@@ -829,8 +855,8 @@ class WellSystem:
         self.mo = transform_to_mo(self.integrals, self.scf)
         self.sq = second_quantize(self.mo)
         self.h_pauli = jordan_wigner(self.sq)
-        self.model = model_hamiltonian(self.scf)
-        self.h0_pauli = model_pauli(self.model)
+        self.h0_pauli = model_pauli(self.scf)
+        self.omega0 = model_gap(self.scf, enumerate_sector(8, 2, 1).determinants)
         self.fci = solve_fci(enumerate_sector(8, 2, 1), self.sq)
         self.ground = probabilities(embed_optimized(self.fci.theta, self.fci.basis, 8))
         self.phi0 = 7
@@ -868,7 +894,7 @@ def h4_hamiltonians(well):
         integrals = compute_integrals(geometry)
         scf = run_scf(integrals, 2, 1)
         h = jordan_wigner(second_quantize(transform_to_mo(integrals, scf)))
-        out[label] = (model_pauli(model_hamiltonian(scf)), h, hf_fock_index(2, 1))
+        out[label] = (model_pauli(scf), h, enumerate_sector(8, 2, 1).determinants[0])
     return out
 
 
@@ -879,7 +905,7 @@ def h6_chain():
     integrals = compute_integrals(parse_geometry(H6_CHAIN, label="h6_chain"))
     scf = run_scf(integrals, 3, 2)
     h = jordan_wigner(second_quantize(transform_to_mo(integrals, scf)))
-    return model_pauli(model_hamiltonian(scf)), h, hf_fock_index(3, 2)
+    return model_pauli(scf), h, enumerate_sector(12, 3, 2).determinants[0]
 
 
 def random_cluster(rng: np.random.Generator, n_atoms: int) -> str:

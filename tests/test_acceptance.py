@@ -13,7 +13,7 @@ import pytest
 
 from cvqelab.constants import CHEMICAL_ACCURACY_EV, EV_PER_HARTREE
 from cvqelab.fci import enumerate_sector, solve_fci
-from cvqelab.fermion import jordan_wigner, second_quantize
+from cvqelab.fermion import jordan_wigner, model_pauli, second_quantize
 from cvqelab.geometry import parse_geometry
 from cvqelab.integrals import IllConditionedBasisError, compute_integrals
 from cvqelab.pauli import to_dense
@@ -291,13 +291,9 @@ def test_criterion_9a_variational_bound_random_configs():
         q = sq.n_spin_orbitals
         fci = solve_fci(enumerate_sector(q, n_alpha, n_beta), sq)
         h = jordan_wigner(sq)
-        from cvqelab.fermion import hf_fock_index, model_pauli
-        from cvqelab.scf import model_hamiltonian
-
-        h0 = model_pauli(model_hamiltonian(scf))
-        psi = prepare_guiding(
-            h0, h, build_schedule(1, 1.0), hf_fock_index(n_alpha, n_beta), TrotterConfig()
-        )
+        h0 = model_pauli(scf)
+        phi0 = enumerate_sector(q, n_alpha, n_beta).determinants[0]
+        psi = prepare_guiding(h0, h, build_schedule(1, 1.0), phi0, TrotterConfig())
         counts = sample(psi, 2048, seed=int(rng.integers(1, 1 << 31)))
         outcomes = collect_outcomes(counts, int(rng.integers(1, 4)))
         opt = optimize(build_subspace(outcomes, sq))

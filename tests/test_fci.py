@@ -133,11 +133,11 @@ def test_degenerate_sz_sector_identical_spectrum(well):
 
 
 def test_model_coupled_gaps_diagnostic(well):
-    pairs = model_coupled_gaps(well.sq, well.model.eps_spin, 7)
+    pairs = model_coupled_gaps(well.sq, np.repeat(well.scf.orbital_energies, 2), 7)
     assert pairs == sorted(pairs)
     # a converged mean-field reference decouples single promotions, so the
     # first coupled excitation sits above the bare lowest promotion
-    assert pairs[0][0] > well.model.omega0
+    assert pairs[0][0] > well.omega0
     # strongest drive couples to double promotions out of the lowest MO
     strongest_gap = max(pairs, key=lambda gc: gc[1])[0]
     assert strongest_gap > pairs[0][0]

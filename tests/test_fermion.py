@@ -6,22 +6,25 @@ import pytest
 from cvqelab.fci import enumerate_sector
 from cvqelab.fermion import (
     SecondQuantizedHamiltonian,
-    hf_fock_index,
     jordan_wigner,
-    model_pauli,
+    model_gap,
     second_quantize,
 )
 from cvqelab.geometry import load_geometry, parse_geometry
 from cvqelab.integrals import compute_integrals
 from cvqelab.pauli import to_dense
+from cvqelab.pipeline import RunConfig, build_system
 from cvqelab.scf import MOIntegrals, run_scf, transform_to_mo
 
 from conftest import (
+    H6_CHAIN,
     h4_geometries,
     label_terms,
     number_operator,
     random_cluster,
+    reference_hf_fock_index,
     reference_jordan_wigner,
+    reference_model_gap,
     reference_second_quantize,
     rule_entry,
     sz_operator,
@@ -39,9 +42,9 @@ def random_mo_integrals(rng, n_mo) -> MOIntegrals:
 
 
 def test_spin_orbital_layout():
-    assert hf_fock_index(2, 1) == 7
-    assert hf_fock_index(1, 1) == 3
-    assert hf_fock_index(1, 0) == 1
+    assert enumerate_sector(8, 2, 1).determinants[0] == 7
+    assert enumerate_sector(8, 1, 1).determinants[0] == 3
+    assert enumerate_sector(8, 1, 0).determinants[0] == 1
 
 
 def test_one_orbital_spin_degeneracy():
@@ -166,7 +169,7 @@ def test_hf_expectation_matches_scf(h2_system, well):
             _, integrals, scf = system
             sq = second_quantize(transform_to_mo(integrals, scf))
             e_hf = scf.e_hf
-        phi0 = hf_fock_index(n_alpha, n_beta)
+        phi0 = enumerate_sector(sq.n_spin_orbitals, n_alpha, n_beta).determinants[0]
         assert rule_entry(phi0, phi0, sq) == pytest.approx(e_hf, abs=1e-8)
 
 
@@ -225,12 +228,27 @@ def test_model_pauli_is_diagonal_with_correct_spectrum(well):
     # HF expectation pinned to e_hf
     assert dense[7, 7] == pytest.approx(well.scf.e_hf, abs=1e-10)
     # diagonal equals sum of occupied spin-orbital energies plus shift
-    eps = well.model.eps_spin
+    eps = np.repeat(well.scf.orbital_energies, 2)
+    shift = well.scf.e_hf - np.sum(eps[:3])  # pins the HF determinant 7 to e_hf
     for n in (0, 7, 13, 255):
-        expected = well.model.shift + sum(
+        expected = shift + sum(
             eps[q] for q in range(8) if (n >> q) & 1
         )
         assert dense[n, n] == pytest.approx(expected, abs=1e-10)
+
+
+def test_model_gap_and_phi0_match_enumeration_reference():
+    """omega0 read off the reference sector equals the itertools enumeration of
+    the model's levels bit for bit, and phi0 is the aufbau HF determinant."""
+    geometries = {"well": load_geometry("well"), **h4_geometries()}
+    geometries["h6_chain"] = parse_geometry(H6_CHAIN, label="h6_chain")
+    for label, geometry in geometries.items():
+        system = build_system(RunConfig(geometry=label), geometry=geometry)
+        scf = system.scf
+        expected = reference_model_gap(scf.orbital_energies, scf.n_alpha, scf.n_beta)
+        assert system.omega0 == expected, label
+        assert model_gap(scf, system.sector.determinants) == expected, label
+        assert system.phi0 == reference_hf_fock_index(scf.n_alpha, scf.n_beta), label
 
 
 @pytest.mark.parametrize("label", ["reactant", "well", "product"])

@@ -276,6 +276,18 @@ def test_output_root_env(monkeypatch, small_report, tmp_path):
     assert all(str(f).startswith(str(tmp_path)) for f in files)
 
 
+def test_cli_out_relative_to_output_root(monkeypatch, tmp_path):
+    """A relative --out lands under CVQELAB_OUTPUT_ROOT; an absolute one wins."""
+    monkeypatch.setenv("CVQELAB_OUTPUT_ROOT", str(tmp_path / "root"))
+    monkeypatch.chdir(tmp_path)
+    argv = ["run", "--regime", "C", "--shots", "1000"]
+    assert cli_main([*argv, "--out", "o2"]) == 0
+    assert (tmp_path / "root" / "o2" / "report.json").exists()
+    assert not (tmp_path / "o2").exists()
+    assert cli_main([*argv, "--out", str(tmp_path / "abs")]) == 0
+    assert (tmp_path / "abs" / "report.json").exists()
+
+
 # --- CLI ---
 
 
@@ -379,6 +391,12 @@ def test_cli_error_exit_code(capsys):
         (["check-conditions", "--geometry", "well", "--charge", "-3", "--multiplicity", "4"],
          "pipeline"),
         (["run", "--regime", "C", "--shots", "4096", "--noise-lambda", "-0.5"], "statevector"),
+        (["run", "--regime", "C", "--hbar-omega", "nan"], "prep"),
+        (["run", "--regime", "C", "--hbar-omega", "inf"], "prep"),
+        (["run", "--regime", "C", "--prune-threshold", "nan"], "prep"),
+        (["check-conditions", "--hbar-omega", "nan", "--omega0", "0.5"], "prep"),
+        (["check-conditions", "--omega0", "nan"], "prep"),
+        (["scan-omega", "--K", "1", "--omegas", "nan"], "prep"),
     ],
 )
 def test_cli_error_names_stage(argv, stage, capsys):

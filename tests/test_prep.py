@@ -198,7 +198,7 @@ def test_check_conditions_regimes():
 
 
 def test_check_conditions_never_blocks(well):
-    rep = check_conditions(1, 0.01, well.model.omega0)
+    rep = check_conditions(1, 0.01, well.omega0)
     assert rep.right_ratio > 1.0  # report only, no exception
 
 

@@ -5,17 +5,19 @@ import pytest
 import scipy.linalg
 
 from cvqelab import scf as scf_module
+from cvqelab.fci import enumerate_sector
+from cvqelab.fermion import DegenerateGapWarning, model_gap, model_pauli
 from cvqelab.geometry import load_geometry, parse_geometry
 from cvqelab.integrals import IntegralSet, compute_integrals
+from cvqelab.pauli import to_dense
 from cvqelab.scf import (
     ConvergenceError,
     MissingCorrectionError,
     MOIntegrals,
+    SCFResult,
     load_hf_energy_table,
     lookup_external_hf,
-    model_hamiltonian,
     run_scf,
-    sector_level_gap,
     transform_to_mo,
 )
 
@@ -23,6 +25,7 @@ from conftest import (
     _reference_assign_by_overlap,
     _reference_diis_extrapolate,
     random_cluster,
+    reference_model_gap,
     reference_pattern_outcomes,
     reference_run_scf,
 )
@@ -118,7 +121,7 @@ def test_reactant_finds_fragment_ground():
 
 def test_scf_bit_identical_to_per_pattern_reference(well):
     """The lockstep pattern stack, the work shared across patterns and the
-    incremental DIIS matrix change no bit."""
+    DIIS B block rebuilt from the error window change no bit."""
     stalling = compute_integrals(parse_geometry(STALLING_CLUSTER))
     cases = [well.integrals, stalling]
     cases += [compute_integrals(load_geometry(label)) for label in ("reactant", "product")]
@@ -280,43 +283,43 @@ def test_transform_preserves_eri_symmetry_random_orthogonal():
             assert abs(g[a, b, c, d] - base) < 1e-10
 
 
+def orbital_model(eps: np.ndarray, n_alpha: int, n_beta: int) -> SCFResult:
+    """SCF result carrying only the orbital energies and electron counts."""
+    n = len(eps)
+    return SCFResult(np.eye(n), eps, -1.0, n_alpha, n_beta, 1)
+
+
 def test_model_hamiltonian_shift_and_gap(well):
-    model = well.model
+    # the shift is the model's vacuum energy
+    shift = to_dense(well.h0_pauli)[0, 0].real
     occupied = 2 * well.scf.orbital_energies[0] + well.scf.orbital_energies[1]
-    assert occupied + model.shift == pytest.approx(well.scf.e_hf, abs=1e-10)
+    assert occupied + shift == pytest.approx(well.scf.e_hf, abs=1e-10)
     # gap equals the smallest sector-conserving promotion for aufbau fillings
     eps = well.scf.orbital_energies
     promotions = [eps[a] - eps[i] for i in (0, 1) for a in (2, 3)]
     promotions += [eps[a] - eps[0] for a in (1, 2, 3)]
-    assert model.omega0 == pytest.approx(min(promotions), abs=1e-12)
+    assert well.omega0 == pytest.approx(min(promotions), abs=1e-12)
 
 
 def test_model_gap_synthetic_enumeration():
     eps = np.array([-1.0, -0.5, 0.3])
-    assert sector_level_gap(eps, 2, 0) == pytest.approx(0.8, abs=1e-12)
-    assert sector_level_gap(eps, 1, 1) == pytest.approx(0.5, abs=1e-12)
+    for (n_alpha, n_beta), gap in (((2, 0), 0.8), ((1, 1), 0.5)):
+        sector = enumerate_sector(6, n_alpha, n_beta).determinants
+        assert model_gap(orbital_model(eps, n_alpha, n_beta), sector) == pytest.approx(gap, abs=1e-12)
+        assert reference_model_gap(eps, n_alpha, n_beta) == pytest.approx(gap, abs=1e-12)
 
 
 def test_model_gap_one_electron_exact():
     integrals = compute_integrals(parse_geometry("H 0 0 0\nH 0 0 1.0"))
     scf = run_scf(integrals, 1, 0)
-    model = model_hamiltonian(scf)
-    assert model.eps_spin[0] + model.shift == pytest.approx(scf.e_hf, abs=1e-12)
+    # spin orbital 0 alone occupied: eps_spin[0] + shift
+    assert to_dense(model_pauli(scf))[1, 1].real == pytest.approx(scf.e_hf, abs=1e-12)
 
 
 def test_degenerate_gap_warning():
-    from cvqelab.scf import DegenerateGapWarning, SCFResult
-
-    scf = SCFResult(
-        mo_coeffs=np.eye(2),
-        orbital_energies=np.array([-0.5, -0.5]),
-        e_hf=-1.0,
-        n_alpha=1,
-        n_beta=0,
-        iterations=1,
-    )
+    scf = orbital_model(np.array([-0.5, -0.5]), 1, 0)
     with pytest.warns(DegenerateGapWarning):
-        model_hamiltonian(scf)
+        model_gap(scf, enumerate_sector(4, 1, 0).determinants)
 
 
 def test_hf_energy_table(tmp_path):
