@@ -65,10 +65,19 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig.for_regime(regime, **fields) if regime else RunConfig(**fields)
 
 
+def _comma_list(text: str, flag: str, kind) -> list:
+    """The items of a comma-separated flag value, each converted by kind; an
+    empty list or item fails the conversion, as does any malformed item."""
+    try:
+        return [kind(item) for item in text.split(",")]
+    except ValueError as exc:
+        raise ValueError(f"{flag} takes a comma-separated list: {exc}") from None
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     config = _build_config(args)
-    if args.seeds:
-        seeds = [int(s) for s in args.seeds.split(",")]
+    if args.seeds is not None:
+        seeds = _comma_list(args.seeds, "--seeds", int)
         summary = run_multi_seed(config, seeds)
         print(json.dumps(summary, indent=2))
         return 0
@@ -101,7 +110,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_scan_omega(args: argparse.Namespace) -> int:
     config = _build_config(args)
-    omegas = [float(w) for w in args.omegas.split(",")] if args.omegas else list(DEFAULT_OMEGAS)
+    omegas = (_comma_list(args.omegas, "--omegas", float) if args.omegas is not None
+              else list(DEFAULT_OMEGAS))
     result = omega_scan(config, omegas)
     print(f"HF determinant index: {result['hf_index']}")
     for row in result["rows"]:
@@ -133,6 +143,8 @@ def _cmd_fcidump(args: argparse.Namespace) -> int:
         else:
             print(text, end="")
         return 0
+    if args.file is None:
+        raise ValueError("fcidump import needs --file PATH")
     mo, meta = read_fcidump(Path(args.file).read_text())
     n_beta = (meta.n_elec - meta.ms2) // 2
     n_alpha = meta.n_elec - n_beta

@@ -8,10 +8,12 @@ order, the lexicographic order of their letter labels (qubit 0 first,
 I < X < Y < Z), so iteration order is deterministic.  PauliSum.flip_groups
 sums H's strings by the qubits they flip, H = sum_k D_k X^{masks[k]}; it is
 computed once per PauliSum, on first access, as one sparse product of the
-strings' signed coefficients with a character table (-1)^popcount(m & z),
-and to_dense, the trapezoidal staircase and statevector.expectation read
-their matrix elements from it.  Products are taken over whole mask arrays
-(symplectic_product), the form Jordan-Wigner builds in.
+strings' signed coefficients with a table of the Z2 characters
+chi_z(m) = (-1)^popcount(m & z), and to_dense, the trapezoidal staircase and
+statevector.expectation read their matrix elements from it.  Those
+characters come only from _character_table, which the guiding staircase
+shares.  Products are taken over whole mask arrays (symplectic_product),
+the form Jordan-Wigner builds in.
 """
 
 from __future__ import annotations
@@ -36,8 +38,6 @@ _MASK_LETTERS = np.array(list("IXZY"))
 # entries in one column block of flip_groups' character table; bounds its
 # working memory beside the rows on large registers
 _TABLE_ENTRIES = 1 << 16
-
-_BYTE_POPCOUNT = np.array([bin(b).count("1") for b in range(256)])
 
 
 class ResourceLimitError(RuntimeError):
@@ -110,11 +110,10 @@ class PauliSum:
             shape=(2 * len(masks), len(phases)),
         )
         block_bits = min(n_qubits, (_TABLE_ENTRIES // max(1, len(phases))).bit_length() - 1)
-        low = _character_table(phases, block_bits)
+        low = _character_table(phases, np.arange(1 << block_bits))
         rows = np.zeros((len(masks), 1 << n_qubits), dtype=complex)
         for start in range(0, 1 << n_qubits, 1 << block_bits):
-            high = 1.0 - 2.0 * (_popcount(phases & start) & 1)
-            sums = signed @ (high[:, None] * low)
+            sums = signed @ (_character_table(phases, start) * low)
             block = slice(start, start + (1 << block_bits))
             rows.real[:, block] = sums[:len(masks)]
             rows.imag[:, block] = sums[len(masks):]
@@ -123,15 +122,11 @@ class PauliSum:
         return masks, rows
 
 
-def _character_table(phases: np.ndarray, n_bits: int) -> np.ndarray:
-    """chi_z(m) = (-1)^popcount(m & z) for each z in phases and m < 2^n_bits,
-    built by sign doubling: the columns of bit q are the lower ones times
-    chi_z(2^q)."""
-    table = np.ones((len(phases), 1 << n_bits))
-    for q in range(n_bits):
-        half = 1 << q
-        table[:, half:2 * half] = table[:, :half] * (1.0 - 2.0 * ((phases >> q) & 1))[:, None]
-    return table
+def _character_table(phases: np.ndarray, indices) -> np.ndarray:
+    """chi_z(m) = (-1)^popcount(m & z), the Z2 characters, with one row per z
+    in phases and one column per Fock index m in indices (a scalar gives one
+    column)."""
+    return 1.0 - 2.0 * (np.bitwise_count(phases[:, None] & indices) & 1)
 
 
 def _canonical_key(x: np.ndarray, z: np.ndarray, n_qubits: int) -> np.ndarray:
@@ -195,14 +190,9 @@ def prune(h: PauliSum, threshold: float, drop_diagonal: bool = False) -> PauliSu
 
 
 def _popcount(masks: np.ndarray) -> np.ndarray:
-    """Number of set bits of each nonnegative integer, by byte lookup
-    (np.bitwise_count needs numpy >= 2.0)."""
-    masks = np.asarray(masks)
-    count = np.zeros(masks.shape, dtype=np.int64)
-    while masks.any():
-        count += _BYTE_POPCOUNT[masks & 0xFF]
-        masks = masks >> 8
-    return count
+    """Number of set bits of each nonnegative integer, as int64 (numpy's
+    uint8 count would wrap under negation and subtraction)."""
+    return np.bitwise_count(masks).astype(np.int64)
 
 
 def symplectic_product(x1, z1, x2, z2):

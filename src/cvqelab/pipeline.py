@@ -7,9 +7,10 @@ emission.
 from __future__ import annotations
 
 import json
+import numbers
 import os
 import warnings
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -62,6 +63,11 @@ REGIME_PRESETS = {
     "C": {"K": 1, "hbar_omega": 1.0},
 }
 
+# the values each RunConfig annotation accepts; bools are Integral, so only
+# the bool field takes them
+_FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "bool": bool, "str": str}
+
+
 @dataclass(frozen=True)
 class RunConfig:
     geometry: str = "well"          # built-in label or XYZ path
@@ -78,6 +84,13 @@ class RunConfig:
     noise_lambda: float = 0.0
     regime: str = ""
     output_dir: str = ""
+
+    def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if (not isinstance(value, _FIELD_TYPES[field.type])
+                    or isinstance(value, bool) != (field.type == "bool")):
+                raise TypeError(f"{field.name} must be {field.type}, got {value!r}")
 
     @classmethod
     def for_regime(cls, regime: str, **overrides) -> "RunConfig":

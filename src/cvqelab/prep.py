@@ -28,6 +28,7 @@ from scipy.sparse import csr_array
 from .pauli import (
     COEFF_FLOOR,
     PauliSum,
+    _character_table,
     _popcount,
     align,
     interpolation_rows,
@@ -196,7 +197,7 @@ def prepare_guiding(
     members = _flip_span_coset(phi0, flips)
     flip, phase = np.searchsorted(flips, x), np.searchsorted(phases, z)
     sources = [np.searchsorted(members, members ^ mask) for mask in flips.tolist()]
-    characters = 1.0 - 2.0 * (_popcount(members & phases[:, None]) & 1)
+    characters = _character_table(phases, members)
     scales = np.array([scale for _eta, scale in schedule.steps])
     per_block = max(1, _BLOCK_AMPLITUDES // len(members))
     amp = start[members]

@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import numpy as np
@@ -16,7 +17,7 @@ from cvqelab.fermion import (
 )
 from cvqelab.geometry import load_geometry, parse_geometry
 from cvqelab.integrals import IntegralSet, boys0, compute_integrals, from_pair_matrix
-from cvqelab.pauli import _I_POWERS, COEFF_FLOOR, PauliSum, _popcount
+from cvqelab.pauli import _I_POWERS, COEFF_FLOOR, PauliSum
 from cvqelab.scf import ConvergenceError, SCFResult, run_scf, transform_to_mo
 from cvqelab.statevector import (
     SampleCounts,
@@ -125,9 +126,18 @@ def compile_pauli_action(x_mask: int, z_mask: int, n_qubits: int) -> tuple[np.nd
     i^{n_Y} (-1)^{parity(source & z_mask)} from its Y/Z qubits (z_mask).
     The one-string action that the per-string references are built from.
     """
-    n_y = bin(x_mask & z_mask).count("1")
+    n_y = (x_mask & z_mask).bit_count()
     source = np.arange(1 << n_qubits) ^ x_mask
-    return source, _I_POWERS[(n_y + 2 * (_popcount(source & z_mask) & 1)) & 3]
+    return source, _I_POWERS[(n_y + 2 * _bit_parity(n_qubits)[source & z_mask]) & 3]
+
+
+@functools.cache
+def _bit_parity(n_qubits: int) -> np.ndarray:
+    """popcount(m) & 1 for every Fock index m of the register, from Python's
+    int.bit_count, so the oracle shares no popcount with the code it checks."""
+    parity = np.array([m.bit_count() & 1 for m in range(1 << n_qubits)])
+    parity.flags.writeable = False
+    return parity
 
 
 def reference_flip_groups(h: PauliSum) -> tuple[np.ndarray, np.ndarray]:

@@ -7,6 +7,7 @@ import pytest
 from cvqelab.pauli import (
     PauliSum,
     ResourceLimitError,
+    _character_table,
     _popcount,
     interpolate,
     mask_phases,
@@ -89,7 +90,7 @@ def per_letter_action(label: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def test_action_kernel_matches_per_letter_reference():
-    """The byte-lookup parity needs a second pass past 8 qubits; 12 is the H6 register."""
+    """Registers under, over and well over one byte; 12 is the H6 register."""
     rng = np.random.default_rng(31)
     for n_qubits in (5, 9, 12):
         for _ in range(20):
@@ -98,6 +99,29 @@ def test_action_kernel_matches_per_letter_reference():
             ref_source, ref_phase = per_letter_action(label)
             assert np.array_equal(source, ref_source)
             assert np.array_equal(phase, ref_phase), label
+
+
+def test_popcount_and_characters_match_python_ints():
+    """Masks over one byte and over 32 bits against int.bit_count, in the
+    dtypes that the sign arithmetic needs (an unsigned count would wrap)."""
+    rng = np.random.default_rng(23)
+    masks = np.concatenate([rng.integers(0, 1 << 62, size=200), [0, (1 << 62) - 1]])
+    expected = [int(m).bit_count() for m in masks]
+    count = _popcount(masks)
+    assert count.dtype == np.int64
+    assert count.tolist() == expected
+    assert (1 - 2 * (count & 1)).tolist() == [(-1) ** c for c in expected]
+
+    phases = masks[:20]
+    indices = rng.integers(0, 1 << 62, size=30)
+    table = _character_table(phases, indices)
+    assert table.dtype == np.float64 and table.shape == (20, 30)
+    assert table.tolist() == [
+        [(-1.0) ** (int(z) & int(m)).bit_count() for m in indices] for z in phases
+    ]
+    column = _character_table(phases, int(indices[0]))
+    assert column.dtype == np.float64 and column.shape == (20, 1)
+    assert np.array_equal(column[:, 0], table[:, 0])
 
 
 def test_hermiticity():

@@ -322,6 +322,24 @@ def test_cli_config_file_with_flag_override(tmp_path, capsys):
     assert payload["config"]["shots"] == 1500
 
 
+@pytest.mark.parametrize(
+    "fields,name",
+    [
+        ({"K": 2.0}, "K"),
+        ({"shots": 4096.7}, "shots"),
+        ({"hbar_omega": "1.0"}, "hbar_omega"),
+        ({"shots": True}, "shots"),
+    ],
+)
+def test_cli_config_file_rejects_mistyped_field(fields, name, tmp_path, capsys):
+    """A JSON value of the wrong type fails in RunConfig, naming its field,
+    instead of deep in a stage (or, for a bool count, running one shot)."""
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"regime": "C", **fields}))
+    assert cli_main(["run", "--config", str(cfg_file), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(f"error [pipeline]: {name} must be ")
+
+
 def test_cli_check_conditions(capsys):
     assert cli_main(["check-conditions", "--K", "500", "--hbar-omega", "10", "--omega0", "2.387"]) == 0
     out = capsys.readouterr().out
@@ -402,6 +420,21 @@ def test_cli_error_exit_code(capsys):
 def test_cli_error_names_stage(argv, stage, capsys):
     assert cli_main(argv) == 2
     assert capsys.readouterr().err.startswith(f"error [{stage}]: ")
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["run", "--regime", "C", "--shots", "64", "--seeds", ""], "--seeds"),
+        (["run", "--regime", "C", "--shots", "64", "--seeds", "1,,2"], "--seeds"),
+        (["scan-omega", "--K", "1", "--omegas", ""], "--omegas"),
+        (["fcidump", "import"], "--file"),
+    ],
+)
+def test_cli_rejects_empty_list_or_missing_file(argv, flag, capsys):
+    assert cli_main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error [cli]: ") and flag in err
 
 
 def test_cli_multi_seed(capsys):
