@@ -57,12 +57,14 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
 def _build_config(args: argparse.Namespace) -> RunConfig:
     """Regime preset, then config file, then flags; later sources win."""
     fields = json.loads(args.config.read_text()) if args.config else {}
+    if not isinstance(fields, dict):
+        raise ValueError(f"--config must hold a JSON object, got {type(fields).__name__}")
     for field in dataclasses.fields(RunConfig):
         value = getattr(args, field.name, None)
         if value is not None:
             fields[field.name] = value
     regime = fields.pop("regime", "")
-    return RunConfig.for_regime(regime, **fields) if regime else RunConfig(**fields)
+    return RunConfig(**fields) if regime == "" else RunConfig.for_regime(regime, **fields)
 
 
 def _comma_list(text: str, flag: str, kind) -> list:

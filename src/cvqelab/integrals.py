@@ -66,6 +66,7 @@ def compute_integrals(geometry: Geometry) -> IntegralSet:
     alpha, coef = _contracted_basis()
     centers = geometry.positions_bohr()
     n_ao = geometry.n_atoms
+    p, q = np.tril_indices(n_ao)  # AO pairs in pair_index order
 
     # every AO is the same contraction, so these primitive-pair arrays are
     # shared by all AO pairs; only the centres differ
@@ -77,31 +78,28 @@ def compute_integrals(geometry: Geometry) -> IntegralSet:
     s_norm = (np.pi / ab) ** 1.5
     v_norm = 2.0 * np.pi / ab
 
-    overlap = np.empty((n_ao, n_ao))
-    kinetic = np.empty((n_ao, n_ao))
-    nuclear = np.empty((n_ao, n_ao))
-    # per AO pair, in pair_index order: contraction weights with the Gaussian
-    # prefactor and product centres, one entry per primitive pair
-    pair_data = []
+    # below, every primitive-pair array carries a leading AO-pair axis
+    r2 = np.array([np.dot(d, d) for d in centers[p] - centers[q]])[:, None, None]
+    pref = np.exp(-mu * r2)
+    s_prim = s_norm * pref
+    t_prim = mu * (3.0 - 2.0 * mu * r2) * s_prim
 
-    for p in range(n_ao):
-        for q in range(p + 1):
-            r2 = float(np.dot(centers[p] - centers[q], centers[p] - centers[q]))
-            pref = np.exp(-mu * r2)
-            s_prim = s_norm * pref
-            t_prim = mu * (3.0 - 2.0 * mu * r2) * s_prim
+    # Gaussian product centres, (n_pairs, 6, 6, 3)
+    pc = (a[..., None] * centers[p][:, None, None, :]
+          + b[..., None] * centers[q][:, None, None, :]) / ab[..., None]
+    # squared distance of every product centre to every nucleus
+    s = pc[:, None] - centers[None, :, None, None, :]
+    s *= s
+    f0 = boys0(ab * (s[..., 0] + s[..., 1] + s[..., 2]))  # (n_pairs, n_atoms, 6, 6)
+    v_prim = np.zeros_like(s_prim)
+    for k in range(n_ao):  # atom by atom: a sum over the atom axis rounds differently
+        v_prim -= v_norm * pref * f0[:, k]
 
-            # Gaussian product center, one per primitive pair
-            pc = (a[..., None] * centers[p] + b[..., None] * centers[q]) / ab[..., None]
-            v_prim = np.zeros_like(s_prim)
-            for nuc in centers:
-                t_arg = ab * np.sum((pc - nuc) ** 2, axis=-1)
-                v_prim -= v_norm * pref * boys0(t_arg)
-
-            overlap[p, q] = overlap[q, p] = float(np.sum(cc * s_prim))
-            kinetic[p, q] = kinetic[q, p] = float(np.sum(cc * t_prim))
-            nuclear[p, q] = nuclear[q, p] = float(np.sum(cc * v_prim))
-            pair_data.append(((cc * pref).ravel(), pc.reshape(-1, 3)))
+    # each block's {p, q} entry sums the AO pair's 36 weighted primitive pairs
+    blocks = np.empty((3, n_ao, n_ao))
+    prims = cc * np.stack((s_prim, t_prim, v_prim))
+    blocks[:, p, q] = blocks[:, q, p] = prims.reshape(3, len(p), 36).sum(axis=2)
+    overlap, kinetic, nuclear = blocks
 
     eig_min = float(np.linalg.eigvalsh(overlap)[0])
     if eig_min < OVERLAP_CONDITION_FLOOR:
@@ -109,7 +107,7 @@ def compute_integrals(geometry: Geometry) -> IntegralSet:
             f"overlap matrix min eigenvalue {eig_min:.3e} below {OVERLAP_CONDITION_FLOOR}"
         )
 
-    eri = _electron_repulsion(pair_data, ab.ravel(), n_ao)
+    eri = _electron_repulsion(cc * pref, pc, ab, n_ao)
     return IntegralSet(
         n_ao=n_ao,
         overlap=overlap,
@@ -136,16 +134,18 @@ def from_pair_matrix(m: np.ndarray, n: int) -> np.ndarray:
     return m[index[:, :, None, None], index[None, None, :, :]]
 
 
-def _electron_repulsion(pair_data: list, zeta: np.ndarray, n_ao: int) -> np.ndarray:
-    """Full (pq|rs) tensor via the s-Gaussian closed form, one value per pair of
-    AO pairs; zeta holds the primitive-pair exponent sums every AO pair shares."""
+def _electron_repulsion(cp: np.ndarray, rp: np.ndarray, zeta: np.ndarray, n_ao: int) -> np.ndarray:
+    """Full (pq|rs) tensor via the s-Gaussian closed form, one pass per AO pair i
+    over every pair j <= i; cp[i] and rp[i] hold pair i's (6, 6) primitive-pair
+    weights and product centres, zeta the exponent sums every pair shares."""
+    cp, rp, zeta = cp.reshape(len(cp), 36), rp.reshape(len(rp), 36, 3), zeta.ravel()
     zsum = zeta[:, None] + zeta[None, :]
     rho = zeta[:, None] * zeta[None, :] / zsum
     kern_norm = 2.0 * np.pi ** 2.5 / (zeta[:, None] * zeta[None, :] * np.sqrt(zsum))
-    m = np.zeros((len(pair_data), len(pair_data)))
-    for i, (cp, rp) in enumerate(pair_data):
-        for j, (cq, rq) in enumerate(pair_data[: i + 1]):
-            d2 = np.sum((rp[:, None, :] - rq[None, :, :]) ** 2, axis=-1)
-            kern = kern_norm * boys0(rho * d2)
-            m[i, j] = m[j, i] = float(np.einsum("i,j,ij->", cp, cq, kern))
+    m = np.empty((len(cp), len(cp)))
+    for i in range(len(cp)):
+        s = rp[i][None, :, None, :] - rp[: i + 1, None, :, :]
+        s *= s  # squared coordinate differences
+        kern = kern_norm * boys0(rho * (s[..., 0] + s[..., 1] + s[..., 2]))
+        m[i, : i + 1] = m[: i + 1, i] = np.einsum("i,nj,nij->n", cp[i], cp[: i + 1], kern)
     return from_pair_matrix(m, n_ao)

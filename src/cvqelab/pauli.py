@@ -35,9 +35,10 @@ _I_POWERS = np.array([1, 1j, -1, -1j])
 # letter of one qubit of X^x Z^z, indexed by x_bit + 2 * z_bit (up to phase)
 _MASK_LETTERS = np.array(list("IXZY"))
 
-# entries in one column block of flip_groups' character table; bounds its
-# working memory beside the rows on large registers
-_TABLE_ENTRIES = 1 << 16
+# entries in one block of a character product (a column block of flip_groups'
+# table; a block of runs' cos or sin, or about a slab's coset entries times its
+# strings, in prep.prepare_guiding); bounds its working memory on large registers
+_BLOCK_ENTRIES = 1 << 16
 
 
 class ResourceLimitError(RuntimeError):
@@ -109,7 +110,7 @@ class PauliSum:
              np.searchsorted(part_row[order], np.arange(2 * len(masks) + 1))),
             shape=(2 * len(masks), len(phases)),
         )
-        block_bits = min(n_qubits, (_TABLE_ENTRIES // max(1, len(phases))).bit_length() - 1)
+        block_bits = min(n_qubits, (_BLOCK_ENTRIES // max(1, len(phases))).bit_length() - 1)
         low = _character_table(phases, np.arange(1 << block_bits))
         rows = np.zeros((len(masks), 1 << n_qubits), dtype=complex)
         for start in range(0, 1 << n_qubits, 1 << block_bits):

@@ -94,9 +94,10 @@ class RunConfig:
 
     @classmethod
     def for_regime(cls, regime: str, **overrides) -> "RunConfig":
-        preset = REGIME_PRESETS[regime.upper()]
-        merged = {**preset, "regime": regime.upper(), **overrides}
-        return cls(**merged)
+        key = regime.upper() if isinstance(regime, str) else None
+        if key not in REGIME_PRESETS:
+            raise ValueError(f"regime must be one of {', '.join(REGIME_PRESETS)}, got {regime!r}")
+        return cls(**{**REGIME_PRESETS[key], "regime": key, **overrides})
 
     def electron_counts(self, n_atoms: int) -> tuple[int, int]:
         if self.multiplicity < 1:

@@ -28,6 +28,7 @@ from scipy.sparse import csr_array
 from .pauli import (
     COEFF_FLOOR,
     PauliSum,
+    _BLOCK_ENTRIES,
     _character_table,
     _popcount,
     align,
@@ -37,10 +38,6 @@ from .statevector import StateVector, init_fock
 
 TERM_ORDERS = ("magnitude_desc", "magnitude_asc", "canonical", "canonical_reversed")
 CONDITION_MARGIN = 0.5
-# entries in each cos or sin array of one block of runs, and about the coset
-# entries times the strings of one slab of steps; bounds the guiding
-# staircase's working memory on large registers
-_BLOCK_AMPLITUDES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -184,7 +181,7 @@ def prepare_guiding(
     Every rotation maps |m> only to |m> and |m ^ x>, so the state stays on
     the coset of phi0 under the span of the executed flip masks, and the
     passes run over that coset alone.  The steps are taken in slabs of about
-    _BLOCK_AMPLITUDES / coset-size strings; each slab's r comes from one
+    _BLOCK_ENTRIES / coset-size strings; each slab's r comes from one
     sparse product of its angles with the character rows, and its cos and
     sin from one batched call per block of runs.
     """
@@ -199,7 +196,7 @@ def prepare_guiding(
     sources = [np.searchsorted(members, members ^ mask) for mask in flips.tolist()]
     characters = _character_table(phases, members)
     scales = np.array([scale for _eta, scale in schedule.steps])
-    per_block = max(1, _BLOCK_AMPLITUDES // len(members))
+    per_block = max(1, _BLOCK_ENTRIES // len(members))
     amp = start[members]
     # a slab of steps closes at the step that brings the string count to a
     # multiple of per_block

@@ -156,7 +156,7 @@ def _converge_patterns(
         c_occ_a = c[:, :, :n_alpha]
         docc_c = c[:, :, :n_docc]
         d_a = c_occ_a @ c_occ_a.transpose(0, 2, 1)
-        d_b = docc_c @ docc_c.transpose(0, 2, 1) if n_docc else np.zeros_like(d_a)
+        d_b = docc_c @ docc_c.transpose(0, 2, 1)
         d_t = d_a + d_b
         j_t = np.einsum("pqrs,brs->bpq", eri, d_t)
         k_a = np.einsum("prqs,brs->bpq", eri, d_a)

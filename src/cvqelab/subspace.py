@@ -125,14 +125,12 @@ def build_subspace(outcomes: OutcomeSet, sq: SecondQuantizedHamiltonian) -> Subs
     values = 1.0 - 2.0 * (odd & 1)
 
     single = np.flatnonzero(r2 == 0)
-    if len(single):
-        p, c = i_r1[single], i_c1[single]
-        spectators = ((a[single] & b[single])[:, None] >> modes) & 1
-        coulomb = h2[c[:, None], modes, p[:, None], modes] * spectators
-        values[single] *= h1[c, p] + coulomb.sum(axis=1)
+    p, c = i_r1[single], i_c1[single]
+    spectators = ((a[single] & b[single])[:, None] >> modes) & 1
+    coulomb = h2[c[:, None], modes, p[:, None], modes] * spectators
+    values[single] *= h1[c, p] + coulomb.sum(axis=1)
     double = np.flatnonzero(r2)
-    if len(double):
-        values[double] *= h2[i_c1[double], i_c2[double], i_r1[double], i_r2[double]]
+    values[double] *= h2[i_c1[double], i_c2[double], i_r1[double], i_r2[double]]
 
     mat = np.zeros((m, m))
     mat[rows, cols] = values

@@ -2,6 +2,8 @@
 closed-form implementation (Newton shell averaging + 1D numerical radial
 integration instead of the Boys-function product formulas)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -199,6 +201,20 @@ def test_integrals_bit_identical_to_per_atom_reference():
         for block in ("overlap", "core", "eri"):
             assert getattr(got, block).tobytes() == getattr(ref, block).tobytes()
         assert got.e_nuc == ref.e_nuc
+
+
+def test_integrals_h6_chain_memory_guard():
+    """The ERIs are built one pair row at a time: on the H6+ chain (21 AO
+    pairs) the transient stays near 2 MiB, where all pairs of pairs at once
+    peak near 16 MiB."""
+    geometry = parse_geometry(H6_CHAIN)
+    tracemalloc.start()
+    try:
+        compute_integrals(geometry)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 << 20
 
 
 def test_overlap_positive_definite_on_builtin_geometries():

@@ -329,15 +329,28 @@ def test_cli_config_file_with_flag_override(tmp_path, capsys):
         ({"shots": 4096.7}, "shots"),
         ({"hbar_omega": "1.0"}, "hbar_omega"),
         ({"shots": True}, "shots"),
+        ({"regime": "D"}, "regime"),
+        ({"regime": 3}, "regime"),
+        ({"regime": 0}, "regime"),
     ],
 )
 def test_cli_config_file_rejects_mistyped_field(fields, name, tmp_path, capsys):
-    """A JSON value of the wrong type fails in RunConfig, naming its field,
-    instead of deep in a stage (or, for a bool count, running one shot)."""
+    """A JSON value of the wrong type, or an unknown regime, fails in
+    RunConfig, naming its field, instead of deep in a stage (or, for a bool
+    count, running one shot)."""
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({"regime": "C", **fields}))
     assert cli_main(["run", "--config", str(cfg_file), "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith(f"error [pipeline]: {name} must be ")
+
+
+def test_cli_config_file_rejects_non_object(tmp_path, capsys):
+    """A config file whose top level is not a JSON object fails naming --config."""
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(["regime", "A"]))
+    argv = ["check-conditions", "--config", str(cfg_file), "--omega0", "0.5"]
+    assert cli_main(argv) == 2
+    assert capsys.readouterr().err.startswith("error [cli]: --config ")
 
 
 def test_cli_check_conditions(capsys):

@@ -121,20 +121,24 @@ def test_reactant_finds_fragment_ground():
 
 def test_scf_bit_identical_to_per_pattern_reference(well):
     """The lockstep pattern stack, the work shared across patterns and the
-    DIIS B block rebuilt from the error window change no bit."""
+    DIIS B block rebuilt from the error window change no bit, also with no
+    doubly occupied orbital (H and H2+ at (1, 0))."""
     stalling = compute_integrals(parse_geometry(STALLING_CLUSTER))
-    cases = [well.integrals, stalling]
-    cases += [compute_integrals(load_geometry(label)) for label in ("reactant", "product")]
+    cases = [(well.integrals, 2, 1), (stalling, 2, 1)]
+    cases += [(compute_integrals(load_geometry(label)), 2, 1) for label in ("reactant", "product")]
     rng = np.random.default_rng(1618)
-    cases += [compute_integrals(parse_geometry(random_cluster(rng, 4))) for _ in range(4)]
+    cases += [(compute_integrals(parse_geometry(random_cluster(rng, 4))), 2, 1) for _ in range(4)]
+    for text in ("H 0 0 0", "H 0 0 0\nH 0 0 1.06"):
+        cases.append((compute_integrals(parse_geometry(text)), 1, 0))
     # the cases cover a shrinking stack and a pattern that never converges
     well_iterations = {o.iterations for o in reference_pattern_outcomes(well.integrals, 2, 1)}
     assert len(well_iterations) > 1
     stalling_outcomes = reference_pattern_outcomes(stalling, 2, 1)
     assert any(isinstance(o, ConvergenceError) for o in stalling_outcomes)
     assert not all(isinstance(o, ConvergenceError) for o in stalling_outcomes)
-    for integrals in cases:
-        got, ref = run_scf(integrals, 2, 1), reference_run_scf(integrals, 2, 1)
+    for integrals, n_alpha, n_beta in cases:
+        got = run_scf(integrals, n_alpha, n_beta)
+        ref = reference_run_scf(integrals, n_alpha, n_beta)
         assert got.e_hf == ref.e_hf
         assert np.array_equal(got.mo_coeffs, ref.mo_coeffs)
         assert np.array_equal(got.orbital_energies, ref.orbital_energies)
