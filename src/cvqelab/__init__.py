@@ -58,6 +58,7 @@ from .subspace import (
     SubspaceHamiltonian,
     build_subspace,
     collect_outcomes,
+    determinant_hamiltonian,
     embed_optimized,
     optimize,
 )

@@ -2,8 +2,9 @@
 
 Determinants are enumerated within a fixed (n_alpha, n_beta) sector of the
 interleaved spin layout (even bits up, odd bits down).  The exact ground
-state is the classical subspace solve over the whole sector, so E* >= E_g is
-Cauchy interlacing on one Hamiltonian matrix.
+state is the classical subspace solve over the whole sector, gathered from
+the sector Hamiltonian like every sampled subspace, so E* >= E_g is Cauchy
+interlacing on one Hamiltonian matrix.
 """
 
 from __future__ import annotations
@@ -14,7 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fermion import SecondQuantizedHamiltonian
-from .subspace import OptimizedState, OutcomeSet, build_subspace, optimize
+from .subspace import (
+    OptimizedState,
+    OutcomeSet,
+    SubspaceHamiltonian,
+    build_subspace,
+    determinant_hamiltonian,
+    optimize,
+)
 
 RESIDUAL_TOL = 1e-9
 
@@ -47,7 +55,13 @@ def enumerate_sector(n_qubits: int, n_alpha: int, n_beta: int) -> SectorBasis:
 
 def solve_fci(basis: SectorBasis, sq: SecondQuantizedHamiltonian) -> OptimizedState:
     """Lowest eigenpair of the Hamiltonian over the whole sector (E_g, theta)."""
-    sub = build_subspace(OutcomeSet(members=basis.determinants), sq)
+    return solve_sector(determinant_hamiltonian(OutcomeSet(members=basis.determinants), sq))
+
+
+def solve_sector(sector: SubspaceHamiltonian) -> OptimizedState:
+    """Lowest eigenpair of the subspace on every member of the sector
+    Hamiltonian, gathered as the sampled subspaces are."""
+    sub = build_subspace(sector.basis, sector)
     ground = optimize(sub)
     residual = float(np.linalg.norm(sub.matrix @ ground.theta - ground.energy * ground.theta))
     if residual > RESIDUAL_TOL:

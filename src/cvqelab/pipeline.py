@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .constants import EV_PER_HARTREE
-from .fci import SectorBasis, enumerate_sector, solve_fci
+from .fci import SectorBasis, enumerate_sector, solve_sector
 from .fermion import (
     SecondQuantizedHamiltonian,
     jordan_wigner,
@@ -47,8 +47,11 @@ from .statevector import (
 )
 from .subspace import (
     OptimizedState,
+    OutcomeSet,
+    SubspaceHamiltonian,
     build_subspace,
     collect_outcomes,
+    determinant_hamiltonian,
     embed_optimized,
     optimize,
     restrict_to_sector,
@@ -153,6 +156,7 @@ class SystemModel:
     omega0: float
     phi0: int
     sector: SectorBasis       # reference (n_alpha, n_beta) determinants
+    sector_hamiltonian: SubspaceHamiltonian   # H on the whole sector
     fci_energy: float
     ground: Distribution      # pGndD
 
@@ -173,7 +177,10 @@ def build_system(config: RunConfig, geometry: Geometry | None = None) -> SystemM
     sq = second_quantize(mo)
     h = jordan_wigner(sq)
     sector = enumerate_sector(sq.n_spin_orbitals, scf.n_alpha, scf.n_beta)
-    fci = solve_fci(sector, sq)
+    # the one run of the determinant rules: every subspace, FCI's included,
+    # is gathered from this matrix
+    sector_h = determinant_hamiltonian(OutcomeSet(members=sector.determinants), sq)
+    fci = solve_sector(sector_h)
     return SystemModel(
         geometry=geom,
         scf=scf,
@@ -184,6 +191,7 @@ def build_system(config: RunConfig, geometry: Geometry | None = None) -> SystemM
         # the lowest up and down spin orbitals: the aufbau HF determinant
         phi0=sector.determinants[0],
         sector=sector,
+        sector_hamiltonian=sector_h,
         fci_energy=fci.energy,
         ground=probabilities(embed_optimized(fci.theta, fci.basis, h.n_qubits)),
     )
@@ -244,7 +252,7 @@ def finish_run(prepared: PreparedRun, seed: int) -> StageReport:
     outcomes = restrict_to_sector(
         collect_outcomes(counts, config.count_threshold), sys_model.sector
     )
-    opt = optimize(build_subspace(outcomes, sys_model.sq))
+    opt = optimize(build_subspace(outcomes, sys_model.sector_hamiltonian))
     psi_opt = embed_optimized(opt.theta, outcomes, n_qubits)
     p_od = probabilities(psi_opt)
 
@@ -315,13 +323,15 @@ def run_multi_seed(
 def compare_distributions(p: Distribution, q: Distribution) -> dict[str, float]:
     """Total variation, smoothed KL divergence KL(p||q), and support overlap
     |supp(p) & supp(q)| / |supp(q)| at a 1e-6 cutoff."""
-    keys = set(p.probs) | set(q.probs)
-    tv = 0.5 * sum(abs(p.probability(n) - q.probability(n)) for n in keys)
+    p_get, q_get = p.probs.get, q.probs.get
     eps = 1e-12
-    kl = sum(
-        (p.probability(n) + eps) * np.log((p.probability(n) + eps) / (q.probability(n) + eps))
-        for n in keys
-    )
+    tv = kl = 0.0
+    # one walk over the union support; tv and kl accumulate from 0 in its order
+    for n in set(p.probs) | set(q.probs):
+        pn, qn = p_get(n, 0.0), q_get(n, 0.0)
+        tv += abs(pn - qn)
+        kl += (pn + eps) * np.log((pn + eps) / (qn + eps))
+    tv = 0.5 * tv
     supp_p = p.support(1e-6)
     supp_q = q.support(1e-6)
     overlap = len(supp_p & supp_q) / len(supp_q) if supp_q else 0.0

@@ -303,11 +303,9 @@ def _diis_extrapolate(focks: np.ndarray, errors: np.ndarray) -> np.ndarray:
                 weights[i] = np.linalg.solve(b[i], rhs[i, :, 0])[:n]
             except np.linalg.LinAlgError:
                 singular[i] = True
-    terms = weights[:, :, None, None] * focks
-    # accumulated oldest first, from 0, as sum() over one window would
-    f_use = 0.0 + terms[:, 0]
-    for k in range(1, n):
-        f_use += terms[:, k]
+    # numpy reduces a strided (non-innermost) axis in index order, so the
+    # window is accumulated oldest first, as sum() over one window would
+    f_use = (weights[:, :, None, None] * focks).sum(axis=1)
     f_use[singular] = focks[singular, -1]
     return f_use
 

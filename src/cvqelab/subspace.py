@@ -1,16 +1,17 @@
 """Classical subspace cascade: threshold sampled outcomes, keep those in the
-reference (n_alpha, n_beta) sector, assemble the sampled-basis Hamiltonian
-from determinant matrix elements, diagonalize, and embed the optimized state
-back on the register.
+reference (n_alpha, n_beta) sector, gather the sampled-basis Hamiltonian from
+the sector Hamiltonian, diagonalize, and embed the optimized state back on the
+register.
 
-Matrix elements between Fock occupation bitstrings follow the standard
+The sector Hamiltonian is built once per system by the determinant rules:
+matrix elements between Fock occupation bitstrings follow the standard
 two-difference excitation rules with fermionic parity consistent with the
 Jordan-Wigner bit ordering (parity = popcount of occupied modes below the
-acted index), so the subspace matrix equals the dense qubit Hamiltonian
-restricted to the sampled rows/columns.  The rules are evaluated as bit-mask
-array operations over all determinant pairs at once, and each entry is
-computed from its own pair alone: a sampled matrix is exactly a principal
-sub-matrix of the sector matrix, so E* >= E_g is Cauchy interlacing.
+acted index), so the matrix equals the dense qubit Hamiltonian restricted to
+its rows/columns.  The rules are evaluated as bit-mask array operations over
+all determinant pairs at once.  Every subspace, the whole sector's included,
+is then a gathered principal sub-matrix of that one matrix, so E* >= E_g is
+Cauchy interlacing.
 """
 
 from __future__ import annotations
@@ -88,7 +89,9 @@ def restrict_to_sector(outcomes: OutcomeSet, sector: SectorBasis) -> OutcomeSet:
     return OutcomeSet(members=members)
 
 
-def build_subspace(outcomes: OutcomeSet, sq: SecondQuantizedHamiltonian) -> SubspaceHamiltonian:
+def determinant_hamiltonian(
+    outcomes: OutcomeSet, sq: SecondQuantizedHamiltonian
+) -> SubspaceHamiltonian:
     """<a|H|b> over the outcome members by the determinant rules, for every
     upper-triangle pair at once; each entry reads its own pair only."""
     if len(outcomes) == 0:
@@ -141,6 +144,23 @@ def build_subspace(outcomes: OutcomeSet, sq: SecondQuantizedHamiltonian) -> Subs
     pairs = (occ[:, :, None] * occ[:, None, :] * weight).reshape(m, -1)
     mat[index, index] = sq.constant + pairs.sum(axis=1)
     return SubspaceHamiltonian(basis=outcomes, matrix=mat)
+
+
+def build_subspace(outcomes: OutcomeSet, sector: SubspaceHamiltonian) -> SubspaceHamiltonian:
+    """The principal sub-matrix of the sector Hamiltonian on the outcome
+    members: a gather, so its entries are the sector matrix's bytes."""
+    if len(outcomes) == 0:
+        raise EmptySubspaceError("outcome set is empty")
+    basis = np.array(sector.basis.members, dtype=np.int64)
+    members = np.array(outcomes.members, dtype=np.int64)
+    pos = np.searchsorted(basis, members)
+    outside = basis[np.minimum(pos, len(basis) - 1)] != members
+    if outside.any():
+        raise ValueError(
+            f"outcome {members[outside][0]} is not a determinant of the "
+            f"{len(basis)}-determinant sector Hamiltonian"
+        )
+    return SubspaceHamiltonian(basis=outcomes, matrix=sector.matrix[np.ix_(pos, pos)])
 
 
 def optimize(subspace: SubspaceHamiltonian) -> OptimizedState:

@@ -26,7 +26,7 @@ from cvqelab.statevector import (
     probabilities,
     sample_distribution,
 )
-from cvqelab.subspace import OutcomeSet, build_subspace, embed_optimized
+from cvqelab.subspace import OutcomeSet, determinant_hamiltonian, embed_optimized
 
 TABLE_STATES = (7, 13, 19, 22, 25, 28, 37, 49, 52, 193, 196, 208)
 COUPLING_FLOOR = 1e-6  # Hartree; model_coupled_gaps ignores weaker couplings
@@ -334,7 +334,8 @@ def reference_prepare_trapezoidal(h0: PauliSum, h: PauliSum, schedule, phi0: int
 
 
 # The determinant rules one pair at a time, with explicit ladder steps: the
-# reference for subspace.build_subspace, which evaluates every pair at once.
+# reference for subspace.determinant_hamiltonian, which evaluates every pair
+# at once.
 # Kept verbatim as the per-pair build it replaced, unreachable branches
 # included: a gained mode is never occupied in n', so `_create` never
 # returns None and the final `step[1] != n` never fires.
@@ -409,9 +410,10 @@ def slater_condon(n: int, n_prime: int, sq: SecondQuantizedHamiltonian) -> float
 
 
 def rule_entry(n: int, m: int, sq: SecondQuantizedHamiltonian) -> float:
-    """<n|H|m> as build_subspace assembles it, read from the matrix over {n, m}."""
+    """<n|H|m> as determinant_hamiltonian assembles it, read from the matrix
+    over {n, m}."""
     members = sorted({int(n), int(m)})
-    mat = build_subspace(OutcomeSet(members=tuple(members)), sq).matrix
+    mat = determinant_hamiltonian(OutcomeSet(members=tuple(members)), sq).matrix
     return float(mat[members.index(int(n)), members.index(int(m))])
 
 
@@ -867,6 +869,9 @@ class WellSystem:
         self.h_pauli = jordan_wigner(self.sq)
         self.h0_pauli = model_pauli(self.scf)
         self.omega0 = model_gap(self.scf, enumerate_sector(8, 2, 1).determinants)
+        self.sector_hamiltonian = determinant_hamiltonian(
+            OutcomeSet(members=enumerate_sector(8, 2, 1).determinants), self.sq
+        )
         self.fci = solve_fci(enumerate_sector(8, 2, 1), self.sq)
         self.ground = probabilities(embed_optimized(self.fci.theta, self.fci.basis, 8))
         self.phi0 = 7

@@ -28,7 +28,13 @@ from cvqelab.pipeline import (
 from cvqelab.prep import TrotterConfig, build_schedule, circuit_stats, prepare_guiding, prepare_trapezoidal
 from cvqelab.scf import ConvergenceError, load_hf_energy_table, run_scf, transform_to_mo
 from cvqelab.statevector import mix_noise, probabilities, sample_distribution
-from cvqelab.subspace import OutcomeSet, build_subspace, collect_outcomes, optimize
+from cvqelab.subspace import (
+    OutcomeSet,
+    build_subspace,
+    collect_outcomes,
+    determinant_hamiltonian,
+    optimize,
+)
 
 from conftest import TABLE_STATES, random_cluster, rule_entry, sample, spin_expectations
 
@@ -296,7 +302,7 @@ def test_criterion_9a_variational_bound_random_configs():
         psi = prepare_guiding(h0, h, build_schedule(1, 1.0), phi0, TrotterConfig())
         counts = sample(psi, 2048, seed=int(rng.integers(1, 1 << 31)))
         outcomes = collect_outcomes(counts, int(rng.integers(1, 4)))
-        opt = optimize(build_subspace(outcomes, sq))
+        opt = optimize(determinant_hamiltonian(outcomes, sq))
         worst_violation = max(worst_violation, fci.energy - opt.energy)
         checked += 1
     ok = worst_violation <= 1e-10
@@ -318,7 +324,7 @@ def test_criterion_9b_monotonicity_and_interlacing(system):
         for size in (2, 5, 9, 14, 20, 24):
             members = tuple(sorted(sector[:size]))
             opt = optimize(
-                build_subspace(OutcomeSet(members=members), system.sq)
+                build_subspace(OutcomeSet(members=members), system.sector_hamiltonian)
             )
             ok = ok and opt.energy <= previous + 1e-12
             ok = ok and opt.energy >= system.fci_energy - 1e-10

@@ -52,10 +52,10 @@ def test_sector_spectrum_matches_jw_dense(well):
     sector = enumerate_sector(8, 2, 1).determinants
     block = dense[np.ix_(sector, sector)]
     jw_spectrum = np.linalg.eigvalsh(block)
-    from cvqelab.subspace import OutcomeSet, build_subspace
+    from cvqelab.subspace import OutcomeSet, determinant_hamiltonian
 
     sc_spectrum = np.linalg.eigvalsh(
-        build_subspace(OutcomeSet(members=sector), well.sq).matrix
+        determinant_hamiltonian(OutcomeSet(members=sector), well.sq).matrix
     )
     assert np.max(np.abs(jw_spectrum - sc_spectrum)) < 1e-9
 
@@ -113,15 +113,15 @@ def test_spin_closed_shell_singlet(h2_system):
 
 def test_degenerate_sz_sector_identical_spectrum(well):
     """The mirrored (1, 2) sector must reproduce the (2, 1) spectrum."""
-    from cvqelab.subspace import OutcomeSet, build_subspace
+    from cvqelab.subspace import OutcomeSet, determinant_hamiltonian
 
     up = enumerate_sector(8, 2, 1).determinants
     down = enumerate_sector(8, 1, 2).determinants
     spec_up = np.linalg.eigvalsh(
-        build_subspace(OutcomeSet(members=up), well.sq).matrix
+        determinant_hamiltonian(OutcomeSet(members=up), well.sq).matrix
     )
     spec_down = np.linalg.eigvalsh(
-        build_subspace(OutcomeSet(members=down), well.sq).matrix
+        determinant_hamiltonian(OutcomeSet(members=down), well.sq).matrix
     )
     assert np.max(np.abs(spec_up - spec_down)) < 1e-9
     sector_down = enumerate_sector(8, 1, 2)

@@ -3,11 +3,13 @@ import json
 import sys
 from functools import cached_property
 
+import numpy as np
 import pytest
 
 from cvqelab import pauli, subspace
 from cvqelab.cli import main as cli_main
 from cvqelab.fci import enumerate_sector
+from cvqelab.geometry import parse_geometry
 from cvqelab.pauli import PauliSum
 from cvqelab.pipeline import (
     REGIME_PRESETS,
@@ -23,7 +25,15 @@ from cvqelab.pipeline import (
     sweep_reaction_path,
 )
 from cvqelab.statevector import Distribution, probabilities
-from cvqelab.subspace import OutcomeSet, build_subspace, embed_optimized, optimize
+from cvqelab.subspace import (
+    OutcomeSet,
+    build_subspace,
+    determinant_hamiltonian,
+    embed_optimized,
+    optimize,
+)
+
+from conftest import random_cluster
 
 
 @pytest.fixture(scope="module")
@@ -131,10 +141,59 @@ def test_build_subspace_sizes_match_benchmark_dim_count(monkeypatch, small_confi
     assert sizes == [report.outcome_count for report in reports]
 
 
+def test_determinant_rules_run_once_per_system(monkeypatch, small_config):
+    """build_system evaluates the determinant rules once, on the whole sector,
+    and finish_run gathers every seed's subspace from that matrix without
+    them: determinant_hamiltonian, recorded in every cvqelab namespace that
+    holds it, sees one call per system and none per seed."""
+    original, sizes = subspace.determinant_hamiltonian, []
+
+    def recording(outcomes, sq):
+        sizes.append(len(outcomes))
+        return original(outcomes, sq)
+
+    for name, module in list(sys.modules.items()):
+        held = getattr(module, "determinant_hamiltonian", None)
+        if name.split(".")[0] == "cvqelab" and held is original:
+            monkeypatch.setattr(module, "determinant_hamiltonian", recording)
+    system = build_system(small_config)
+    assert sizes == [24]
+    prepared = prepare_run(small_config, system)
+    sizes.clear()
+    reports = [finish_run(prepared, seed) for seed in (1, 2)]
+    assert sizes == []
+    assert all(report.outcome_count > 0 for report in reports)
+
+
+def test_seed_subspaces_carry_the_determinant_rules_bytes(well_system):
+    """Each seed's gathered subspace is byte for byte the determinant rules'
+    matrix on its outcomes: the well at regime A (seeds 1-5), and the first 8
+    clusters of the benchmark's corpus (the tests' random_cluster rule on
+    generator seed 4) at its pruned regime-C configuration (seeds 1-20)."""
+    runs = [(well_system, RunConfig.for_regime("A"), range(1, 6))]
+    corpus_rng = np.random.default_rng(4)
+    cluster_config = RunConfig.for_regime(
+        "C", shots=4096, prune_threshold=0.02, drop_diagonal=True
+    )
+    for i in range(8):
+        geometry = parse_geometry(random_cluster(corpus_rng, 4), label=f"cluster{i}")
+        runs.append((build_system(cluster_config, geometry), cluster_config, range(1, 21)))
+    checked = 0
+    for system, config, seeds in runs:
+        prepared = prepare_run(config, system)
+        for seed in seeds:
+            outcomes = finish_run(prepared, seed).optimized.basis
+            gathered = build_subspace(outcomes, system.sector_hamiltonian).matrix
+            rules = determinant_hamiltonian(outcomes, system.sq).matrix
+            assert gathered.tobytes() == rules.tobytes()
+            checked += 1
+    assert checked == 5 + 8 * 20
+
+
 def test_ground_is_the_whole_sector_subspace_solve(well_system):
     """E_g and pGndD come from the same solve and producer as E* and pOD."""
     sector = OutcomeSet(members=enumerate_sector(8, 2, 1).determinants)
-    opt = optimize(build_subspace(sector, well_system.sq))
+    opt = optimize(build_subspace(sector, well_system.sector_hamiltonian))
     assert opt.energy == well_system.fci_energy
     p_od = probabilities(embed_optimized(opt.theta, sector, 8))
     assert p_od.probs == well_system.ground.probs

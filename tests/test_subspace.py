@@ -15,6 +15,7 @@ from cvqelab.subspace import (
     SubspaceHamiltonian,
     build_subspace,
     collect_outcomes,
+    determinant_hamiltonian,
     embed_optimized,
     optimize,
     restrict_to_sector,
@@ -120,7 +121,7 @@ def test_build_subspace_matches_pair_oracle(h4_sq):
     )
     cases.append((tuple(range(256)), unstructured))
     for members, sq in cases:
-        mat = build_subspace(OutcomeSet(members=tuple(members)), sq).matrix
+        mat = determinant_hamiltonian(OutcomeSet(members=tuple(members)), sq).matrix
         ref = oracle_matrix(members, sq)
         assert np.max(np.abs(mat - ref)) <= 1e-13
         assert np.array_equal(mat == 0.0, ref == 0.0)
@@ -132,18 +133,33 @@ def test_build_subspace_is_exact_principal_submatrix(h4_sq):
     sector = enumerate_sector(8, 2, 1).determinants
     rng = np.random.default_rng(29)
     for sq in (h4_sq["well"], h4_sq["cluster0"]):
-        full = build_subspace(OutcomeSet(members=sector), sq).matrix
+        full = determinant_hamiltonian(OutcomeSet(members=sector), sq).matrix
         for _ in range(200):
             size = int(rng.integers(1, len(sector) + 1))
             idx = np.sort(rng.choice(len(sector), size=size, replace=False))
-            sub = build_subspace(OutcomeSet(members=tuple(sector[i] for i in idx)), sq)
+            sub = determinant_hamiltonian(OutcomeSet(members=tuple(sector[i] for i in idx)), sq)
             assert np.array_equal(sub.matrix, full[np.ix_(idx, idx)])
+
+
+def test_build_subspace_names_an_outcome_outside_the_sector(well):
+    """The gather reads sector positions only: an outcome outside the sector
+    Hamiltonian's basis, below or past its last member, is named, the first
+    one first."""
+    sector_h = well.sector_hamiltonian
+    with pytest.raises(ValueError, match=r"^outcome 15 is not a determinant of the 24-"):
+        build_subspace(OutcomeSet(members=(7, 15)), sector_h)
+    with pytest.raises(ValueError, match=r"^outcome 15 "):
+        build_subspace(OutcomeSet(members=(15, 255)), sector_h)
+    with pytest.raises(ValueError, match=r"^outcome 255 "):
+        build_subspace(OutcomeSet(members=(7, 255)), sector_h)
+    with pytest.raises(EmptySubspaceError):
+        build_subspace(OutcomeSet(members=()), sector_h)
 
 
 def test_full_sector_matches_jw_dense(well):
     sector = enumerate_sector(8, 2, 1).determinants
     outcomes = OutcomeSet(members=sector)
-    sub = build_subspace(outcomes, well.sq)
+    sub = determinant_hamiltonian(outcomes, well.sq)
     dense = to_dense(well.h_pauli).real
     block = dense[np.ix_(sector, sector)]
     assert np.max(np.abs(sub.matrix - block)) < 1e-10
@@ -151,7 +167,7 @@ def test_full_sector_matches_jw_dense(well):
 
 def test_singleton_subspace(well):
     outcomes = OutcomeSet(members=(7,))
-    sub = build_subspace(outcomes, well.sq)
+    sub = build_subspace(outcomes, well.sector_hamiltonian)
     assert sub.matrix.shape == (1, 1)
     opt = optimize(sub)
     assert opt.energy == pytest.approx(well.scf.e_hf, abs=1e-8)
@@ -159,7 +175,7 @@ def test_singleton_subspace(well):
 
 def test_table_vi_subspace_reaches_ground(well):
     outcomes = OutcomeSet(members=TABLE_STATES)
-    opt = optimize(build_subspace(outcomes, well.sq))
+    opt = optimize(build_subspace(outcomes, well.sector_hamiltonian))
     assert opt.energy == pytest.approx(well.fci.energy, abs=1e-9)
 
 
@@ -169,7 +185,7 @@ def test_interlacing_bound_random_subsets(well):
     for _ in range(40):
         size = int(rng.integers(1, len(sector) + 1))
         members = tuple(sorted(rng.choice(sector, size=size, replace=False).tolist()))
-        opt = optimize(build_subspace(OutcomeSet(members=members), well.sq))
+        opt = optimize(build_subspace(OutcomeSet(members=members), well.sector_hamiltonian))
         assert opt.energy >= well.fci.energy - 1e-10
 
 
@@ -180,7 +196,7 @@ def test_monotone_under_subspace_growth(well):
     previous = np.inf
     for size in (1, 3, 6, 12, 18, 24):
         members = tuple(sorted(sector[:size]))
-        opt = optimize(build_subspace(OutcomeSet(members=members), well.sq))
+        opt = optimize(build_subspace(OutcomeSet(members=members), well.sector_hamiltonian))
         assert opt.energy <= previous + 1e-12
         previous = opt.energy
 
@@ -197,7 +213,7 @@ def test_optimize_diagonal_example():
 
 def test_rayleigh_consistency_and_gauge(well):
     outcomes = OutcomeSet(members=TABLE_STATES)
-    sub = build_subspace(outcomes, well.sq)
+    sub = build_subspace(outcomes, well.sector_hamiltonian)
     opt = optimize(sub)
     rayleigh = float(np.real(opt.theta.conj() @ sub.matrix @ opt.theta))
     assert rayleigh == pytest.approx(opt.energy, abs=1e-10)
@@ -233,7 +249,7 @@ def test_optimized_state_close_to_ground_distribution(well):
     )
     counts = sample(psi, 10**5, seed=77)
     outcomes = collect_outcomes(counts, 1)
-    opt = optimize(build_subspace(outcomes, well.sq))
+    opt = optimize(determinant_hamiltonian(outcomes, well.sq))
     p_od = probabilities(embed_optimized(opt.theta, outcomes, 8))
     keys = set(p_od.probs) | set(well.ground.probs)
     tv = 0.5 * sum(
