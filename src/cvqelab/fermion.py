@@ -144,9 +144,15 @@ def model_pauli(scf: SCFResult) -> PauliSum:
 def model_gap(scf: SCFResult, determinants: tuple[int, ...]) -> float:
     """omega0: the gap of H0 between its two lowest levels over the given
     determinants (Fock indices), the reference (N_alpha, N_beta) sector."""
-    eps_spin = np.repeat(scf.orbital_energies, 2)
-    occupied = (np.asarray(determinants)[:, None] >> np.arange(len(eps_spin))) & 1
-    levels = np.sort(occupied @ eps_spin)
+    eps = scf.orbital_energies
+    occupied = (np.asarray(determinants)[:, None] >> np.arange(2 * len(eps))) & 1
+    # alpha (even) and beta (odd) spin orbitals each summed one add at a time
+    # in index order (cumsum), so a level's bits do not depend on how a dot
+    # product groups its terms
+    levels = np.sort(
+        np.cumsum(occupied[:, 0::2] * eps, axis=1)[:, -1]
+        + np.cumsum(occupied[:, 1::2] * eps, axis=1)[:, -1]
+    )
     if len(levels) < 2:
         raise ValueError("sector holds a single determinant; no excitation exists")
     gap = float(levels[1] - levels[0])

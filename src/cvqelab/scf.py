@@ -1,28 +1,34 @@
 """Restricted open-shell Hartree-Fock and the AO -> MO integral transform.
 
 A single spatial-MO set serves both spins, so every spatial orbital maps to a
-degenerate pair of spin orbitals downstream.  The effective one-electron
-operator is Roothaan's, which reduces to the ordinary RHF Fock matrix for
-closed shells:
+degenerate pair of spin orbitals downstream.  Orbitals come back
+canonicalized within occupation blocks of Roothaan's effective one-electron
+operator, which reduces to the ordinary RHF Fock matrix for closed shells:
 
     block      closed   open   virtual
     closed       Fc      Fb      Fc
     open         Fb      Fc      Fa
     virtual      Fc      Fa      Fc          Fc = (Fa + Fb) / 2
 
+and are ordered doubly-occupied, singly-occupied, virtual; for aufbau ground
+states this coincides with ascending orbital energy.
+
 Charged clusters with separated fragments admit several SCF solutions whose
 occupation character differs (which fragment holds the unpaired electron),
 and the ground solution need not be aufbau.  run_scf therefore seeds one
-candidate per frontier occupation pattern from the core guess and converges
-them all in lockstep: their orbitals form one (P, n, n) stack, so each DIIS
-iteration is one stacked numpy call per step for every pattern still
-running, and a pattern leaves the stack on the iteration it converges.
-Maximum-overlap assignment locks each pattern's occupation between
-iterations.  Every pattern's arithmetic, and so every bit of its result,
-is what converging it alone gives; the lowest converged solution wins, in
-pattern order.  Orbitals come back canonicalized within occupation blocks
-and ordered doubly-occupied, singly-occupied, virtual; for aufbau ground
-states this coincides with ascending orbital energy.
+candidate per frontier occupation pattern, a column order of the core
+guess, and minimizes the energy from every seed at once as one (P, n, n)
+orbital stack.  A seed's orbitals move only by Cayley rotations
+C <- C (1 - A/2)^-1 (1 + A/2), which keep C^T S C = 1, over the
+non-redundant pairs (p, q) with p in a more occupied class than q: docc-socc,
+docc-virt and socc-virt.  The gradient comes from the MO-basis Fock matrices
+and the Hessian from their linear response to each pair rotation (Seeger &
+Pople, J. Chem. Phys. 66, 3045, 1977), and each step is the exact
+trust-region step of that quadratic model, so it follows negative curvature
+off saddle points: a seed stops only at a true minimum, where the gradient
+vanishes and the Hessian is positive definite.  A seed is dropped once its
+quadratic model shows it cannot beat the lowest minimum found by 1e-6 Ha.
+The lowest minimum wins, ties within 1e-12 Ha in pattern order.
 """
 
 from __future__ import annotations
@@ -54,10 +60,8 @@ class MissingCorrectionError(LookupError):
     """A requested external large-basis HF energy is unavailable."""
 
 
-ENERGY_TOL = 1e-10       # Hartree
-COMMUTATOR_TOL = 1e-8
+GRADIENT_TOL = 1e-10     # orbital-rotation gradient norm at a minimum
 MAX_ITERATIONS = 200
-DIIS_SIZE = 8
 OCCUPATION_WINDOW = 2    # extra orbitals beyond n_occ tried in pattern search
 
 
@@ -68,7 +72,7 @@ class SCFResult:
     e_hf: float                   # total HF energy incl. nuclear repulsion, Hartree
     n_alpha: int
     n_beta: int
-    iterations: int
+    iterations: int               # Newton steps of the winning seed
 
 
 @dataclass(frozen=True)
@@ -95,168 +99,177 @@ def _candidate_patterns(n_mo: int, n_docc: int, n_socc: int, window: int):
 
 
 def run_scf(integrals: IntegralSet, n_alpha: int, n_beta: int) -> SCFResult:
-    """Converge ROHF and return the lowest-energy solution found."""
+    """Minimize ROHF from every occupation pattern and return the lowest minimum."""
     if n_alpha < n_beta:
         raise ValueError("n_alpha must be >= n_beta")
     if n_alpha > integrals.n_ao:  # with n_alpha >= n_beta, also caps n_beta
         raise ValueError(f"{n_alpha} alpha electrons exceed {integrals.n_ao} spatial orbitals")
     if n_alpha < 1:
         raise ValueError("at least one electron required")
-    n_docc, n_socc = n_beta, n_alpha - n_beta
-    # the same for every pattern: orthogonalizer for the DIIS error, core guess
-    x = scipy.linalg.fractional_matrix_power(integrals.overlap, -0.5).real
+    n_ao = integrals.n_ao
     _, c0 = scipy.linalg.eigh(integrals.core, integrals.overlap)
-    patterns = _candidate_patterns(integrals.n_ao, n_docc, n_socc, OCCUPATION_WINDOW)
-
+    seeds = [
+        docc + socc + tuple(i for i in range(n_ao) if i not in docc + socc)
+        for docc, socc in _candidate_patterns(n_ao, n_beta, n_alpha - n_beta, OCCUPATION_WINDOW)
+    ]
     best: tuple[float, SCFResult] | None = None
     last_error: ConvergenceError | None = None
-    for outcome in _converge_patterns(integrals, n_alpha, n_beta, patterns, x, c0):
+    for outcome in _minimize(integrals, n_alpha, n_beta, np.moveaxis(c0[:, seeds], 1, 0)):
         if isinstance(outcome, ConvergenceError):
             last_error = outcome
-        elif best is None or outcome.e_hf < best[0] - 1e-12:
+        elif outcome is not None and (best is None or outcome.e_hf < best[0] - 1e-12):
             best = (outcome.e_hf, outcome)
     if best is None:
-        raise last_error if last_error is not None else ConvergenceError(0, np.inf)
+        raise last_error
     return best[1]
 
 
-def _converge_patterns(
-    integrals: IntegralSet,
-    n_alpha: int,
-    n_beta: int,
-    patterns: list[tuple[tuple[int, ...], tuple[int, ...]]],
-    x: np.ndarray,
-    c0: np.ndarray,
-) -> list[SCFResult | ConvergenceError]:
-    """Iterate every pattern in lockstep; one outcome per pattern, in pattern order.
+def _minimize(
+    integrals: IntegralSet, n_alpha: int, n_beta: int, c: np.ndarray
+) -> list[SCFResult | ConvergenceError | None]:
+    """Trust-region Newton from each seed of the (P, n, n) stack c, columns
+    docc | socc | virt; one outcome per seed: its minimum, None when it was
+    dropped as unable to win, or a ConvergenceError.
 
-    The active patterns' orbitals are one (P, n_ao, n_ao) stack with columns
-    ordered docc | socc | virt.  A pattern leaves the stack on the iteration
-    it converges, so the active ones have all run equally many iterations
-    and share one DIIS window length.  Each pattern's arithmetic is exactly
-    what it would be run alone: only the generalized eigensolve and a
-    singular DIIS system are handled one pattern at a time.
+    The seeds still running have all taken the same number of steps, so they
+    share the loop's iteration count and leave the stack as they finish.
     """
-    s, h, eri = integrals.overlap, integrals.core, integrals.eri
-    n_ao = integrals.n_ao
-    n_docc, n_socc = n_beta, n_alpha - n_beta
-    outcomes: list[SCFResult | ConvergenceError | None] = [None] * len(patterns)
+    n_ao, n_docc = integrals.n_ao, n_beta
+    h = integrals.core
+    eri_j = integrals.eri.reshape(n_ao**2, n_ao**2)
+    eri_k = integrals.eri.transpose(0, 2, 1, 3).reshape(n_ao**2, n_ao**2)
+    # the non-redundant pairs (p, q), p in a more occupied class than q, and
+    # per spin the occupation difference n_p - n_q (1 or 0) weighting them
+    occupied = np.arange(n_ao)[:, None] < [n_alpha, n_docc]
+    cls = occupied.sum(axis=1)
+    p, q = np.nonzero(cls[:, None] > cls)
+    weight = occupied[p] * 1.0 - occupied[q]
+    gens = np.zeros((len(p), n_ao, n_ao))  # d/ds_k moves c_p by +c_q and c_q by -c_p
+    gens[np.arange(len(p)), q, p] = 1.0
+    gens[np.arange(len(p)), p, q] = -1.0
 
-    seeds = [
-        docc + socc + tuple(i for i in range(n_ao) if i not in docc and i not in socc)
-        for docc, socc in patterns
-    ]
-    c = _gather_columns(c0[None], np.array(seeds))
-    active = np.arange(len(patterns))
-    energy = np.zeros(len(patterns))
-    delta = np.full(len(patterns), np.inf)
-    focks = np.empty((len(patterns), 0, n_ao, n_ao))
-    errors = np.empty_like(focks)
+    def fock(c):
+        """(alpha, beta) Fock matrices (P, 2, n, n) and electronic energies."""
+        d = _densities(c, c, n_alpha, n_docc)
+        f = h + _two_electron(d, eri_j, eri_k)
+        return f, 0.5 * (d * (h + f)).sum(axis=(1, 2, 3))
+
+    def gradient_hessian(c, f):
+        f_mo = c.mT[:, None] @ f @ c[:, None]
+        grad = 2.0 * (f_mo[..., p, q] * weight.T).sum(axis=1)
+        # column l: d grad / d s_l, from rotating f_mo and from the density
+        # response J[dD_a + dD_b] - K[dD_s], dD_s = w_ls (c_q c_p^T + c_p c_q^T)
+        pair = c[..., q].mT[..., :, None] * c[..., p].mT[..., None, :]
+        d_resp = (pair + pair.mT)[:, :, None] * weight[:, :, None, None]
+        f_resp = c.mT[:, None, None] @ _two_electron(d_resp, eri_j, eri_k) @ c[:, None, None]
+        f_rot = gens.mT[:, None] @ f_mo[:, None] + f_mo[:, None] @ gens[:, None]
+        hess = 2.0 * np.einsum("blsk,ks->bkl", (f_rot + f_resp)[..., p, q], weight)
+        return grad, 0.5 * (hess + hess.mT)
+
+    f, energy = fock(c)
+    radius = np.full(len(c), 0.5)
+    last_delta = np.full(len(c), np.inf)
+    active = np.arange(len(c))
+    best = np.inf
+    outcomes: list[SCFResult | ConvergenceError | None] = [None] * len(c)
     for iteration in range(1, MAX_ITERATIONS + 1):
-        c_occ_a = c[:, :, :n_alpha]
-        docc_c = c[:, :, :n_docc]
-        d_a = c_occ_a @ c_occ_a.transpose(0, 2, 1)
-        d_b = docc_c @ docc_c.transpose(0, 2, 1)
-        d_t = d_a + d_b
-        j_t = np.einsum("pqrs,brs->bpq", eri, d_t)
-        k_a = np.einsum("prqs,brs->bpq", eri, d_a)
-        k_b = np.einsum("prqs,brs->bpq", eri, d_b)
-        f_a = h + j_t - k_a
-        f_b = h + j_t - k_b
-        new_energy = 0.5 * (
-            _matrix_sums(d_t * h) + _matrix_sums(d_a * f_a) + _matrix_sums(d_b * f_b)
-        ) + integrals.e_nuc
+        grad, hess = gradient_hessian(c, f)
+        curv, vecs = np.linalg.eigh(hess)
+        gam = (vecs.mT @ grad[..., None])[..., 0]
+        grad_norm = np.linalg.norm(grad, axis=1)
+        definite = (curv > 0).all(axis=1)
+        done = definite & (grad_norm < GRADIENT_TOL)
+        for i in np.flatnonzero(done):
+            f_eff = _roothaan_fock(
+                f[i, 0], f[i, 1], c[i], integrals.overlap, n_docc, n_alpha - n_docc
+            )
+            e_hf = float(energy[i]) + integrals.e_nuc
+            outcomes[active[i]] = _finalize(f_eff, c[i], e_hf, n_alpha, n_beta, iteration)
+            best = min(best, energy[i])
+        # a minimum in sight that cannot beat the best one by 1e-6 Ha is dropped
+        newton = np.divide(gam**2, curv, where=curv > 0, out=np.zeros_like(gam))
+        hopeless = definite & (grad_norm < 1e-3) & (energy - 0.5 * newton.sum(axis=1) > best - 1e-6)
+        keep = ~done & ~hopeless
+        if not keep.any():
+            return outcomes
+        active, c, f, energy, radius, last_delta, curv, vecs, gam = (
+            a[keep] for a in (active, c, f, energy, radius, last_delta, curv, vecs, gam)
+        )
 
-        f_eff = _roothaan_fock(f_a, f_b, c, s, n_docc, n_socc)
-        error = x.T @ (f_eff @ d_t @ s - s @ d_t @ f_eff) @ x
-        comm_norm = np.linalg.norm(error, axis=(1, 2))
-        delta = np.abs(new_energy - energy)
-        energy = new_energy
-        if iteration > 1:
-            done = (delta < ENERGY_TOL) & (comm_norm < COMMUTATOR_TOL)
-            if done.any():
-                for i in np.flatnonzero(done):
-                    outcomes[active[i]] = _finalize(
-                        f_eff[i], c[i], float(energy[i]), n_alpha, n_beta, iteration
-                    )
-                keep = ~done
-                if not keep.any():
-                    return outcomes
-                active, c, energy, delta, f_eff, error = (
-                    a[keep] for a in (active, c, energy, delta, f_eff, error)
-                )
-                focks, errors = focks[keep], errors[keep]
-
-        focks = np.concatenate([focks, f_eff[:, None]], axis=1)[:, -DIIS_SIZE:]
-        errors = np.concatenate([errors, error[:, None]], axis=1)[:, -DIIS_SIZE:]
-        f_use = f_eff
-        if focks.shape[1] > 1:
-            f_use = _diis_extrapolate(focks, errors)
-
-        eps_new, c_new = _generalized_eigh(f_use, s)
-        c = _assign_by_overlap(c_new, eps_new, s, c, n_docc, n_socc)
-    for i, p in enumerate(active):
-        outcomes[p] = ConvergenceError(MAX_ITERATIONS, delta[i])
+        sig, pred, bounded = _trust_step(curv, gam, radius)
+        step = (vecs @ sig[..., None])[..., 0]
+        a = np.tensordot(step, gens, axes=1)
+        dc = c @ np.linalg.solve(np.eye(n_ao) - 0.5 * a, a)  # c U - c for the Cayley U
+        f_new, energy_new = fock(c + dc)
+        # E' - E = sum_sigma tr(dD_sigma (F_sigma + F'_sigma)) / 2, with dD formed
+        # from dc: exact to rounding relative to the change, not to E
+        d_change = _densities(2.0 * c + dc, dc, n_alpha, n_docc)
+        delta = 0.5 * (d_change * (f + f_new)).sum(axis=(1, 2, 3))
+        rho = -delta / pred
+        accept = (delta < 0) & (rho > 0.01)
+        size = np.linalg.norm(sig, axis=1)
+        grown = np.where((rho > 0.75) & bounded, np.minimum(2 * radius, 1.5), radius)
+        radius = np.where(rho < 0.25, size / 4, grown)
+        c = np.where(accept[:, None, None], c + dc, c)
+        f = np.where(accept[:, None, None, None], f_new, f)
+        energy = np.where(accept, energy_new, energy)
+        last_delta = np.where(accept, delta, last_delta)
+    for i, seed in enumerate(active):
+        outcomes[seed] = ConvergenceError(MAX_ITERATIONS, abs(float(last_delta[i])))
     return outcomes
 
 
-def _matrix_sums(a: np.ndarray) -> np.ndarray:
-    """np.sum of each trailing matrix, summed in the order np.sum uses on it alone."""
-    return a.reshape(*a.shape[:-2], -1).sum(axis=-1)
+def _densities(x: np.ndarray, y: np.ndarray, n_alpha: int, n_docc: int) -> np.ndarray:
+    """(x_s y_s^T + y_s x_s^T) / 2 over the first n_s columns of each spin s:
+    the (P, 2, n, n) alpha and beta densities for x = y = c."""
+    d = np.stack([x[..., :k] @ y[..., :k].mT for k in (n_alpha, n_docc)], axis=1)
+    return 0.5 * (d + d.mT)
 
 
-def _generalized_eigh(f: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """scipy.linalg.eigh(f[i], s) for each stacked f[i]: its finite check once
-    for the stack, then its LAPACK driver (dsygvd, lower triangle) per matrix."""
-    if not np.isfinite(f).all():
-        raise ValueError("array must not contain infs or NaNs")
-    eps = np.empty(f.shape[:2])
-    vecs = np.empty_like(f)
-    for i, f_i in enumerate(f):
-        eps[i], vecs[i], info = scipy.linalg.lapack.dsygvd(f_i, s)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"dsygvd failed (info = {info})")
-    return eps, vecs
+def _two_electron(d: np.ndarray, eri_j: np.ndarray, eri_k: np.ndarray) -> np.ndarray:
+    """J[d_alpha + d_beta] - K[d_sigma] for (..., 2, n, n) spin densities, with
+    (pq|rs) and (pr|qs) as (n^2, n^2) matrices."""
+    flat = d.reshape(*d.shape[:-2], d.shape[-1] ** 2)
+    return (flat.sum(axis=-2, keepdims=True) @ eri_j - flat @ eri_k).reshape(d.shape)
 
 
-def _assign_by_overlap(
-    c_new: np.ndarray,
-    eps_new: np.ndarray,
-    s: np.ndarray,
-    c_prev: np.ndarray,
-    n_docc: int,
-    n_socc: int,
-) -> np.ndarray:
-    """Lock occupation character: reorder each pattern's new orbitals into
-    docc | socc | virt by projection onto its previous doubly- and
-    singly-occupied spaces.
+def _trust_step(curv: np.ndarray, gam: np.ndarray, radius: np.ndarray):
+    """Minimize gam.s + sum(curv s^2) / 2 over |s| <= radius per row, in the
+    Hessian's eigenbasis: the Newton step when it is a minimum inside the
+    region, else s(mu) = -gam / (curv + mu) with the Levenberg shift
+    mu > max(0, -curv_min) narrowed until |s(mu)| just fits the radius and,
+    under negative curvature, the lowest component stretched downhill to the
+    boundary, which moves a seed off a saddle point even where the gradient
+    has no component along it.  Returns the step, the model's decrease and
+    whether the step is on the boundary."""
+    lowest = curv.min(axis=1)
+    lo = np.maximum(0.0, -lowest)
+    sig = _shifted(curv, gam, lo)
+    bounded = (lo > 0) | ((sig**2).sum(axis=1) > radius**2)
+    if bounded.any():
+        curv_b, gam_b, r2 = curv[bounded], gam[bounded], radius[bounded] ** 2
+        lo = lo[bounded]
+        hi = lo + np.sqrt((gam_b**2).sum(axis=1) / r2)  # |s(hi)| <= radius
+        rows = np.arange(len(lo))
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            for _ in range(4):  # each pass cuts [lo, hi] 64-fold; hi keeps fitting
+                mu = lo[:, None] + (hi - lo)[:, None] * np.linspace(1 / 64, 1, 64)
+                norm2 = ((gam_b[:, None] / (curv_b[:, None] + mu[..., None])) ** 2).sum(axis=2)
+                k = (norm2 <= r2[:, None]).argmax(axis=1)
+                lo, hi = np.where(k > 0, mu[rows, k - 1], lo), mu[rows, k]
+        sig_b = _shifted(curv_b, gam_b, hi)
+        # negative curvature: stretch the lowest component, downhill, to the boundary
+        reach = np.sqrt(np.maximum(r2 - (sig_b[:, 1:] ** 2).sum(axis=1), 0.0))
+        downhill = np.where(gam_b[:, 0] > 0, -reach, reach)
+        sig_b[:, 0] = np.where(lowest[bounded] < 0, downhill, sig_b[:, 0])
+        sig[bounded] = sig_b
+    return sig, -(gam * sig).sum(axis=1) - 0.5 * (curv * sig**2).sum(axis=1), bounded
 
-    The n_docc orbitals of largest docc weight (ties: lower index) are
-    doubly occupied; of the rest, the n_socc of largest socc weight (ties:
-    lower energy, then index) are singly occupied.  Both blocks are ordered
-    by energy, ties kept in pick order; virtuals keep index order.
-    """
-    n_mo = c_new.shape[-1]
-    n_occ = n_docc + n_socc
-    w_docc, w_socc = (
-        np.linalg.norm(np.swapaxes(c_prev[:, :, lo:hi], 1, 2) @ s @ c_new, axis=1)
-        for lo, hi in ((0, n_docc), (n_docc, n_occ))
-    )
-    # argsort of a permutation is its inverse: the rank of each orbital
-    rank_d = np.argsort(np.argsort(-w_docc, axis=1, kind="stable"), axis=1)
-    is_docc = rank_d < n_docc
-    rank_s = np.argsort(np.lexsort((eps_new, -w_socc, is_docc)), axis=1)
-    is_socc = ~is_docc & (rank_s < n_socc)
-    block = np.where(is_docc, 0, np.where(is_socc, 1, 2))
-    tiebreak = np.where(is_docc, rank_d, np.where(is_socc, rank_s, np.arange(n_mo)))
-    order = np.lexsort((tiebreak, eps_new, block))
-    return _gather_columns(c_new, order)
 
-
-def _gather_columns(c: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """Contiguous (P, n, m) stack with out[i, :, k] = c[i, :, order[i, k]]."""
-    n_pat, n_rows = c.shape[:2]
-    return c[np.arange(n_pat)[:, None, None], np.arange(n_rows)[:, None], order[:, None, :]]
+def _shifted(curv: np.ndarray, gam: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """-gam / (curv + mu) per row, 0 where the shifted curvature is not positive."""
+    den = curv + mu[:, None]
+    return -np.divide(gam, den, where=den > 0, out=np.zeros_like(gam))
 
 
 def _roothaan_fock(
@@ -282,32 +295,6 @@ def _roothaan_fock(
     f_mo[..., vi, op] = fa_mo[..., vi, op]
     sc = s @ c
     return sc @ f_mo @ np.swapaxes(sc, -1, -2)
-
-
-def _diis_extrapolate(focks: np.ndarray, errors: np.ndarray) -> np.ndarray:
-    """Pulay DIIS on stacked (P, W, n, n) Fock and error histories; a pattern
-    whose B matrix is singular keeps its latest Fock matrix."""
-    n_pat, n = focks.shape[:2]
-    b = -np.ones((n_pat, n + 1, n + 1))
-    b[:, n, n] = 0.0
-    b[:, :n, :n] = _matrix_sums(errors[:, :, None] * errors[:, None])
-    rhs = np.zeros((n_pat, n + 1, 1))
-    rhs[:, n] = -1.0
-    singular = np.zeros(n_pat, dtype=bool)
-    try:
-        weights = np.linalg.solve(b, rhs)[:, :n, 0]
-    except np.linalg.LinAlgError:
-        weights = np.zeros((n_pat, n))
-        for i in range(n_pat):
-            try:
-                weights[i] = np.linalg.solve(b[i], rhs[i, :, 0])[:n]
-            except np.linalg.LinAlgError:
-                singular[i] = True
-    # numpy reduces a strided (non-innermost) axis in index order, so the
-    # window is accumulated oldest first, as sum() over one window would
-    f_use = (weights[:, :, None, None] * focks).sum(axis=1)
-    f_use[singular] = focks[singular, -1]
-    return f_use
 
 
 def _finalize(

@@ -616,11 +616,20 @@ def reference_compute_integrals(geometry) -> IntegralSet:
     )
 
 
+# The DIIS reference's own convergence settings: |dE| and the orthogonalized
+# commutator norm at which a pattern stops, and its extrapolation window.
+REFERENCE_ENERGY_TOL = 1e-10
+REFERENCE_COMMUTATOR_TOL = 1e-8
+REFERENCE_DIIS_SIZE = 8
+
+
 def reference_run_scf(integrals, n_alpha: int, n_beta: int) -> SCFResult:
-    """scf.run_scf with every pattern converged on its own, paying for its own
-    orthogonalizer and core guess, and the whole DIIS B matrix rebuilt each
-    iteration: the reference that run_scf is tested against for bit-identical
-    output.  It shares no stacked code with run_scf."""
+    """Occupation-locked DIIS from each of run_scf's seed patterns, each
+    converged on its own with its own orthogonalizer and core guess, the
+    lowest converged solution winning in pattern order: the first-order
+    search that run_scf replaced.  It can stop at a saddle point or a higher
+    minimum, so run_scf is tested never to report a higher energy.  It
+    shares no code with run_scf beyond the pattern list and MAX_ITERATIONS."""
     best = None
     last_error = None
     for outcome in reference_pattern_outcomes(integrals, n_alpha, n_beta):
@@ -693,8 +702,8 @@ def _reference_converge_pattern(integrals, n_alpha, n_beta, docc_seed, socc_seed
         energy = new_energy
         if (
             iteration > 1
-            and delta < scf_module.ENERGY_TOL
-            and comm_norm < scf_module.COMMUTATOR_TOL
+            and delta < REFERENCE_ENERGY_TOL
+            and comm_norm < REFERENCE_COMMUTATOR_TOL
         ):
             return _reference_finalize(
                 integrals, f_a, f_b, docc_c, socc_c, virt_c,
@@ -703,7 +712,7 @@ def _reference_converge_pattern(integrals, n_alpha, n_beta, docc_seed, socc_seed
 
         focks.append(f_eff)
         errors.append(error)
-        if len(focks) > scf_module.DIIS_SIZE:
+        if len(focks) > REFERENCE_DIIS_SIZE:
             focks.pop(0)
             errors.pop(0)
         f_use = f_eff
@@ -731,10 +740,6 @@ def _reference_diis_extrapolate(focks, errors):
     except np.linalg.LinAlgError:
         return focks[-1]
     return sum(w * f for w, f in zip(weights, focks))
-
-
-# Single-pattern forms of scf's stacked helpers, so that reference_run_scf
-# shares no code with what it checks.
 
 
 def _reference_assign_by_overlap(
@@ -831,6 +836,23 @@ def _reference_finalize(
         n_beta=n_beta,
         iterations=iterations,
     )
+
+
+def rohf_energy_expression(mo, n_alpha: int, n_beta: int) -> float:
+    """Independent HF energy re-evaluation from MO integrals (oracle): the
+    aufbau determinant's energy, summed over occupied orbital pairs."""
+    occ_a = range(n_alpha)
+    occ_b = range(n_beta)
+    e = mo.e_nuc
+    e += sum(mo.h_mo[i, i] for i in occ_a) + sum(mo.h_mo[i, i] for i in occ_b)
+    for i, j in itertools.combinations(occ_a, 2):
+        e += mo.g_mo[i, i, j, j] - mo.g_mo[i, j, j, i]
+    for i, j in itertools.combinations(occ_b, 2):
+        e += mo.g_mo[i, i, j, j] - mo.g_mo[i, j, j, i]
+    for i in occ_a:
+        for j in occ_b:
+            e += mo.g_mo[i, i, j, j]
+    return float(e)
 
 
 def reference_model_gap(eps_spatial: np.ndarray, n_alpha: int, n_beta: int) -> float:
